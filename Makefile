@@ -12,7 +12,7 @@ GO ?= go
 # coordinator + 2 workers must produce one complete cross-node trace and
 # a federated /metrics/cluster scrape), the multi-core allocation smoke
 # (an invariant-checked 2-core smtsim run with migrations enabled), one
-# iteration of the telemetry overhead benchmarks so a hot-loop
+# iteration of the cycle-loop benchmarks so a hot-loop
 # regression fails loudly, the benchmark-trajectory gate against the
 # committed baseline, and a short fuzz smoke over the text-format
 # parsers plus an invariant-checked fig9 run.
@@ -23,15 +23,14 @@ vet:
 
 # lint runs the repo's determinism/concurrency/invariant analyzer over
 # every package (see internal/lint and DESIGN.md "Static analysis &
-# invariants"). The cache under bin/ makes warm runs incremental: only
-# packages whose files (or intra-module deps) changed are re-analyzed.
-# Findings not in .smtlint-baseline.json fail; stale //smtlint:ignore
-# directives are findings too.
+# invariants"). Every run is a full, uncached pass through lint.Drive —
+# the same function TestRepoIsClean calls. Any finding fails, including
+# a stale //smtlint:ignore directive that suppresses nothing.
 lint:
-	$(GO) run ./cmd/smtlint -cache bin/lintcache -stats ./...
+	$(GO) run ./cmd/smtlint ./...
 
 # lint-fixtures runs the analyzer's own test suite: every rule against
-# its bad/ok fixture pair, the driver's cold/warm cache behaviour, and
+# its bad/ok fixture pair, lint.Drive over a small temporary module, and
 # TestRepoIsClean (the in-process form of `make lint`). -count=1 so the
 # fixtures re-run even when the package is cached.
 lint-fixtures:
@@ -80,15 +79,17 @@ multicore-smoke:
 		-workload art,mcf,fma3d,gcc -epochs 12 -epoch-size 8192 -warmup 1 > /dev/null
 
 # benchsmoke runs the machine-speed benchmarks once — not a timing gate,
-# just proof they still compile and complete (the BenchmarkMachine
-# prefix also covers the multi-core cycle loop's single-core guard).
+# just proof they still compile and complete: the single-core cycle loop
+# (SimulatorSpeed), the telemetry-on loop, the batch loops, and the
+# multi-core cycle loop.
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkMachine|BenchmarkMultiCore' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorSpeed|BenchmarkMachine|BenchmarkMultiCore' -benchtime 1x .
 
-# bench-json measures the tracked hot-loop benchmarks (the single-core
-# cycle loops, MultiCoreCyclesPerSec, the K=8 MachineBatch loop and its
-# sequential baseline, Checkpoint) and writes BENCH_PR10.json — the perf
-# trajectory artifact described in DESIGN.md "Hot-loop performance".
+# bench-json measures the tracked hot-loop benchmarks (the SimulatorSpeed
+# single-core cycle loop, MultiCoreCyclesPerSec, the K=8 MachineBatch
+# loop and its sequential baseline, Checkpoint) and writes
+# BENCH_PR10.json — the perf trajectory artifact described in DESIGN.md
+# "Hot-loop performance".
 # Commit the refreshed file when a PR intentionally moves the numbers.
 # The -note records the measurement context for this PR's artifact; keep
 # it when regenerating on the same class of host, rewrite it otherwise.

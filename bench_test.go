@@ -10,7 +10,6 @@
 package smthill
 
 import (
-	"context"
 	"runtime"
 	"testing"
 
@@ -19,7 +18,6 @@ import (
 	"smthill/internal/isa"
 	"smthill/internal/metrics"
 	"smthill/internal/multicore"
-	"smthill/internal/obs"
 	"smthill/internal/pipeline"
 	"smthill/internal/telemetry"
 	"smthill/internal/trace"
@@ -348,19 +346,11 @@ func benchCycleLoop(b *testing.B, record bool) {
 }
 
 // BenchmarkSimulatorSpeed measures raw simulation throughput
-// (one op = one simulated cycle) for a 2-thread machine.
+// (one op = one simulated cycle) for a 2-thread machine with telemetry
+// and tracing off. It is the one tracked single-core cycle loop: a
+// regression in the recorder or obs nil-guards, or in the bare loop a
+// multi-core build must leave untouched, shows up here.
 func BenchmarkSimulatorSpeed(b *testing.B) {
-	benchCycleLoop(b, false)
-}
-
-// BenchmarkMachineTelemetryOff is the telemetry overhead guard-rail: the
-// identical loop to BenchmarkSimulatorSpeed with no recorder attached.
-// The instrumentation contract (internal/telemetry package doc) is that a
-// nil recorder costs the cycle loop one predictable branch, so this
-// benchmark's ns/op must stay within 2% of BenchmarkSimulatorSpeed's.
-// `make ci` runs it as a smoke test; the bench-gate target tracks both
-// across PRs.
-func BenchmarkMachineTelemetryOff(b *testing.B) {
 	benchCycleLoop(b, false)
 }
 
@@ -371,26 +361,11 @@ func BenchmarkMachineTelemetryOn(b *testing.B) {
 	benchCycleLoop(b, true)
 }
 
-// BenchmarkMachineTracingOff pins the PR 7 contract: with no tracer in
-// the context, the obs hooks must stay completely inert — nil spans, a
-// pass-through epoch sink, and the same zero-alloc cycle loop as
-// BenchmarkMachineTelemetryOff.
-func BenchmarkMachineTracingOff(b *testing.B) {
-	ctx := context.Background()
-	if _, span := obs.Start(ctx, "bench", obs.KindInternal); span != nil {
-		b.Fatal("tracing unexpectedly enabled without a tracer in context")
-	}
-	if sink := obs.EpochSpans(ctx, nil); sink != nil {
-		b.Fatal("EpochSpans must pass the sink through unchanged with tracing off")
-	}
-	benchCycleLoop(b, false)
-}
-
 // BenchmarkMultiCoreCyclesPerSec measures lock-step multi-core
 // throughput (one op = one simulated cycle across all cores): a 2-core
 // System — four threads behind the shared L3 — advanced b.N cycles.
-// Tracked by the BENCH_PR<N>.json trajectory alongside the single-core
-// cycle loops so L3/arbitration costs can't silently regress.
+// Tracked by the BENCH_PR<N>.json trajectory alongside
+// BenchmarkSimulatorSpeed so L3/arbitration costs can't silently regress.
 func BenchmarkMultiCoreCyclesPerSec(b *testing.B) {
 	w, err := workload.Parse("art,mcf,fma3d,gcc")
 	if err != nil {
@@ -401,16 +376,6 @@ func BenchmarkMultiCoreCyclesPerSec(b *testing.B) {
 	b.ResetTimer()
 	sys.CycleN(b.N)
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
-}
-
-// BenchmarkMachineSingleCoreUnchanged pins the PR 9 contract: adding
-// the multicore package must leave the bare single-core Machine loop
-// untouched — same zero-alloc steady state, ns/op within the
-// bench-gate tolerance of BenchmarkSimulatorSpeed. The multicore
-// integration points (stream address bases, L2-miss completion hooks)
-// are all nil/no-op on a Machine built the classic way.
-func BenchmarkMachineSingleCoreUnchanged(b *testing.B) {
-	benchCycleLoop(b, false)
 }
 
 // batchBenchRound is the trial-loop shape both batch benchmarks time: a

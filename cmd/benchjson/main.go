@@ -1,8 +1,8 @@
 // Command benchjson is the benchmark-trajectory harness: it runs the
-// repo's hot-loop benchmarks (the single-core cycle loops, the 2-core
-// MultiCoreCyclesPerSec loop, the K=8 MachineBatch lock-step loop and
-// its sequential baseline, Checkpoint), parses the standard
-// `go test -bench` output, and emits a
+// repo's hot-loop benchmarks (the SimulatorSpeed single-core cycle
+// loop, the 2-core MultiCoreCyclesPerSec loop, the K=8 MachineBatch
+// lock-step loop and its sequential baseline, Checkpoint), parses the
+// standard `go test -bench` output, and emits a
 // stable JSON artifact (BENCH_PR<N>.json) so per-PR performance becomes
 // a tracked, diffable file instead of folklore.
 //
@@ -67,9 +67,6 @@ var tracked = []struct {
 	cycleLoop bool
 }{
 	{"SimulatorSpeed", true},
-	{"MachineTelemetryOff", true},
-	{"MachineTracingOff", true},
-	{"MachineSingleCoreUnchanged", true},
 	{"MultiCoreCyclesPerSec", true},
 	{"MachineBatchCyclesPerSec", true},
 	{"MachineBatchSequentialBaseline", true},

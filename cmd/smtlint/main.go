@@ -5,17 +5,13 @@
 //
 // Usage:
 //
-//	smtlint ./...                    # lint every package in the module
-//	smtlint -cache bin/lintcache ./... # incremental: reuse per-package results
-//	smtlint -json ./...              # machine-readable findings
-//	smtlint -sarif lint.sarif ./...  # SARIF 2.1.0 for code-review UIs
-//	smtlint -write-baseline ./...    # grandfather the current findings
-//	smtlint -rules                   # list the rules and what they enforce
+//	smtlint ./...       # lint every package in the module
+//	smtlint -json ./... # machine-readable findings
+//	smtlint -rules      # list the rules and what they enforce
 //
-// The baseline file (default .smtlint-baseline.json, at the module root)
-// suppresses exactly the findings recorded in it, matched by (file,
-// rule, message); anything new still fails. Stale //smtlint:ignore
-// directives are themselves findings (rule "unusedignore").
+// Stale //smtlint:ignore directives are themselves findings (rule
+// "unusedignore"). `make lint` runs this command, and TestRepoIsClean
+// in internal/lint runs the same lint.Drive in-process.
 //
 // Exit status: 0 with no findings, 1 with findings, 2 on usage or load
 // errors. Findings print as file:line:col: rule: message, with paths
@@ -35,19 +31,12 @@ import (
 func main() {
 	var (
 		jsonOut   = flag.Bool("json", false, "emit findings as a JSON array")
-		sarifOut  = flag.String("sarif", "", "also write findings as SARIF 2.1.0 to this file")
 		listRules = flag.Bool("rules", false, "list the lint rules and exit")
-		cacheDir  = flag.String("cache", "", "per-package result cache directory (empty disables caching)")
-		noCache   = flag.Bool("no-cache", false, "ignore and bypass the cache even when -cache is set")
-		baseline  = flag.String("baseline", ".smtlint-baseline.json", "baseline file of grandfathered findings, relative to the module root")
-		writeBase = flag.Bool("write-baseline", false, "snapshot the current findings into the baseline file and exit")
-		stats     = flag.Bool("stats", false, "print cache statistics to stderr")
 	)
 	flag.Parse()
 
-	rules := lint.DefaultRules()
 	if *listRules {
-		for _, r := range rules {
+		for _, r := range lint.DefaultRules() {
 			fmt.Printf("%-16s %s\n", r.Name(), r.Doc())
 		}
 		fmt.Printf("%-16s %s\n", "unusedignore", "//smtlint:ignore directives that suppress nothing are findings themselves")
@@ -68,57 +57,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cache := *cacheDir
-	if *noCache {
-		cache = ""
-	}
-	if cache != "" && !filepath.IsAbs(cache) {
-		cache = filepath.Join(root, cache)
-	}
-
-	res, err := lint.Drive(lint.DriverOptions{Root: root, CacheDir: cache, Rules: rules})
+	findings, err := lint.Drive(root)
 	if err != nil {
 		fatal(err)
-	}
-	if *stats {
-		fmt.Fprintf(os.Stderr, "smtlint: %d packages, %d cached, %d analyzed, module %s\n",
-			res.Stats.Packages, res.Stats.CacheHits, res.Stats.Analyzed,
-			map[bool]string{true: "cached", false: "analyzed"}[res.Stats.ModuleHit])
-	}
-
-	basePath := *baseline
-	if basePath != "" && !filepath.IsAbs(basePath) {
-		basePath = filepath.Join(root, basePath)
-	}
-	if *writeBase {
-		if err := lint.WriteBaseline(basePath, res.Findings); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "smtlint: wrote %d finding(s) to %s\n", len(res.Findings), basePath)
-		return
-	}
-	findings := res.Findings
-	var suppressed []lint.Finding
-	if basePath != "" {
-		base, err := lint.LoadBaseline(basePath)
-		if err != nil {
-			fatal(err)
-		}
-		findings, suppressed = base.Apply(findings)
-	}
-
-	if *sarifOut != "" {
-		f, err := os.Create(*sarifOut)
-		if err != nil {
-			fatal(err)
-		}
-		if err := lint.WriteSARIF(f, rules, findings); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
 	}
 
 	if *jsonOut {
@@ -145,11 +86,7 @@ func main() {
 	}
 	if len(findings) > 0 {
 		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "smtlint: %d finding(s)", len(findings))
-			if len(suppressed) > 0 {
-				fmt.Fprintf(os.Stderr, " (+%d baselined)", len(suppressed))
-			}
-			fmt.Fprintln(os.Stderr)
+			fmt.Fprintf(os.Stderr, "smtlint: %d finding(s)\n", len(findings))
 		}
 		os.Exit(1)
 	}

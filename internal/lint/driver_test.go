@@ -1,18 +1,15 @@
 package lint
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
-	"reflect"
-	"strings"
 	"testing"
 )
 
-// writeTempModule lays out a three-package module: a (leaf with one
-// float-compare finding), b (imports a, clean), c (independent leaf,
-// clean). The shape exercises both the dependency-sensitive hash (b's
-// key includes a's) and independence (c's does not).
+// writeTempModule lays out a small module: a (one float-compare
+// finding), b (imports a, clean), c (independent, clean), and d (a
+// float-compare whose ignore directive names the wrong rule, so the
+// directive suppresses nothing and is itself stale).
 func writeTempModule(t *testing.T) string {
 	t.Helper()
 	root := t.TempDir()
@@ -35,6 +32,13 @@ func F() bool { return a.Eq(1, 2) }
 // N is clean.
 func N() int { return 3 }
 `,
+		"d/d.go": `package d
+
+// Cmp carries a directive naming the wrong rule.
+func Cmp(x, y float64) bool {
+	return x == y //smtlint:ignore nondeterminism wrong rule on purpose
+}
+`,
 	}
 	for name, src := range files {
 		path := filepath.Join(root, name)
@@ -48,185 +52,27 @@ func N() int { return 3 }
 	return root
 }
 
-func driveTemp(t *testing.T, root, cache string) *DriverResult {
-	t.Helper()
-	res, err := Drive(DriverOptions{Root: root, CacheDir: cache, Rules: DefaultRules()})
+func TestDrive(t *testing.T) {
+	got, err := Drive(writeTempModule(t))
 	if err != nil {
 		t.Fatalf("Drive: %v", err)
 	}
-	return res
-}
-
-func TestDriverColdThenWarm(t *testing.T) {
-	root := writeTempModule(t)
-	cache := filepath.Join(t.TempDir(), "lintcache")
-
-	cold := driveTemp(t, root, cache)
-	if cold.Stats.Packages != 3 || cold.Stats.CacheHits != 0 || cold.Stats.Analyzed != 3 || cold.Stats.ModuleHit {
-		t.Fatalf("cold stats = %+v, want 3 packages all analyzed", cold.Stats)
+	want := []struct {
+		file string
+		line int
+		rule string
+	}{
+		{"a/a.go", 4, "float-compare"},
+		{"d/d.go", 5, "float-compare"},
+		{"d/d.go", 5, "unusedignore"},
 	}
-	if len(cold.Findings) != 1 || cold.Findings[0].Rule != "float-compare" {
-		t.Fatalf("cold findings = %v, want exactly the float-compare in a", cold.Findings)
+	if len(got) != len(want) {
+		t.Fatalf("got %d findings, want %d: %v", len(got), len(want), got)
 	}
-	if got := cold.Findings[0].Pos.Filename; got != filepath.Join("a", "a.go") {
-		t.Fatalf("finding path %q is not root-relative", got)
-	}
-
-	warm := driveTemp(t, root, cache)
-	if warm.Stats.CacheHits != 3 || warm.Stats.Analyzed != 0 || !warm.Stats.ModuleHit {
-		t.Fatalf("warm stats = %+v, want every package cached", warm.Stats)
-	}
-	if !reflect.DeepEqual(cold.Findings, warm.Findings) {
-		t.Fatalf("warm findings differ from cold:\ncold: %v\nwarm: %v", cold.Findings, warm.Findings)
-	}
-}
-
-func TestDriverInvalidatesOnlyEditedPackage(t *testing.T) {
-	root := writeTempModule(t)
-	cache := filepath.Join(t.TempDir(), "lintcache")
-	driveTemp(t, root, cache) // populate
-
-	// Editing the independent leaf c re-analyzes c alone.
-	cPath := filepath.Join(root, "c", "c.go")
-	if err := os.WriteFile(cPath, []byte("package c\n\n// N is clean.\nfunc N() int { return 4 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res := driveTemp(t, root, cache)
-	if res.Stats.CacheHits != 2 || res.Stats.Analyzed != 1 {
-		t.Fatalf("after editing c: stats = %+v, want exactly c re-analyzed", res.Stats)
-	}
-
-	// Editing a invalidates a AND its dependent b, but not c.
-	aPath := filepath.Join(root, "a", "a.go")
-	if err := os.WriteFile(aPath, []byte("package a\n\n// Eq is now clean.\nfunc Eq(x, y float64) bool { return x-y > -1e-9 && x-y < 1e-9 }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	res = driveTemp(t, root, cache)
-	if res.Stats.CacheHits != 1 || res.Stats.Analyzed != 2 {
-		t.Fatalf("after editing a: stats = %+v, want a and b re-analyzed, c cached", res.Stats)
-	}
-	if len(res.Findings) != 0 {
-		t.Fatalf("fixed module still has findings: %v", res.Findings)
-	}
-
-	// And the fix is itself cached on the next run.
-	res = driveTemp(t, root, cache)
-	if res.Stats.CacheHits != 3 || len(res.Findings) != 0 {
-		t.Fatalf("post-fix warm run: stats = %+v findings = %v", res.Stats, res.Findings)
-	}
-}
-
-func TestDriverNoCacheDir(t *testing.T) {
-	root := writeTempModule(t)
-	res := driveTemp(t, root, "")
-	if res.Stats.Analyzed != 3 || res.Stats.CacheHits != 0 {
-		t.Fatalf("uncached stats = %+v", res.Stats)
-	}
-	if len(res.Findings) != 1 {
-		t.Fatalf("uncached findings = %v", res.Findings)
-	}
-}
-
-func TestDriverAuditsStaleIgnoresFromCache(t *testing.T) {
-	root := writeTempModule(t)
-	// A stale directive (wrong rule name) must surface on both the cold
-	// and the warm path — the warm path reconstructs the audit purely
-	// from cached directive/used sets.
-	dPath := filepath.Join(root, "d", "d.go")
-	if err := os.MkdirAll(filepath.Dir(dPath), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src := `package d
-
-// Cmp carries a directive naming the wrong rule.
-func Cmp(x, y float64) bool {
-	return x == y //smtlint:ignore nondeterminism wrong rule on purpose
-}
-`
-	if err := os.WriteFile(dPath, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	cache := filepath.Join(t.TempDir(), "lintcache")
-
-	check := func(res *DriverResult, phase string) {
-		t.Helper()
-		var stale, float int
-		for _, f := range res.Findings {
-			switch f.Rule {
-			case "unusedignore":
-				stale++
-			case "float-compare":
-				float++
-			}
-		}
-		if stale != 1 || float != 2 {
-			t.Fatalf("%s: want 1 unusedignore + 2 float-compare, got %v", phase, res.Findings)
-		}
-	}
-	check(driveTemp(t, root, cache), "cold")
-	warm := driveTemp(t, root, cache)
-	if warm.Stats.CacheHits != 4 {
-		t.Fatalf("warm stats = %+v", warm.Stats)
-	}
-	check(warm, "warm")
-}
-
-func TestBaselineRoundTrip(t *testing.T) {
-	root := writeTempModule(t)
-	res := driveTemp(t, root, "")
-
-	path := filepath.Join(t.TempDir(), "base.json")
-	if err := WriteBaseline(path, res.Findings); err != nil {
-		t.Fatal(err)
-	}
-	base, err := LoadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kept, suppressed := base.Apply(res.Findings)
-	if len(kept) != 0 || len(suppressed) != 1 {
-		t.Fatalf("baseline round-trip: kept %v suppressed %v", kept, suppressed)
-	}
-
-	// Multiset semantics: a second identical finding exceeds the budget.
-	doubled := append(append([]Finding(nil), res.Findings...), res.Findings...)
-	kept, suppressed = base.Apply(doubled)
-	if len(kept) != 1 || len(suppressed) != 1 {
-		t.Fatalf("multiset budget: kept %v suppressed %v", kept, suppressed)
-	}
-
-	// Missing file is an empty baseline; corrupt file is an error.
-	empty, err := LoadBaseline(filepath.Join(t.TempDir(), "nope.json"))
-	if err != nil || len(empty.Findings) != 0 {
-		t.Fatalf("missing baseline: %v %v", empty, err)
-	}
-	bad := filepath.Join(t.TempDir(), "bad.json")
-	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadBaseline(bad); err == nil {
-		t.Fatal("corrupt baseline loaded without error")
-	}
-}
-
-func TestWriteSARIF(t *testing.T) {
-	root := writeTempModule(t)
-	res := driveTemp(t, root, "")
-
-	var buf bytes.Buffer
-	if err := WriteSARIF(&buf, DefaultRules(), res.Findings); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{
-		`"version": "2.1.0"`,
-		`"name": "smtlint"`,
-		`"ruleId": "float-compare"`,
-		`"startLine": 4`,
-		"a/a.go",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("SARIF output missing %q:\n%s", want, out)
+	for i, w := range want {
+		f := got[i]
+		if f.Pos.Filename != w.file || f.Pos.Line != w.line || f.Rule != w.rule {
+			t.Errorf("finding %d = %s, want %s:%d %s", i, f, w.file, w.line, w.rule)
 		}
 	}
 }

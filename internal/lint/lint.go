@@ -103,7 +103,7 @@ type Rule interface {
 
 // ModuleRule is a rule whose analysis spans package boundaries (the lock
 // acquisition graph crosses serve -> obs, for example). A ModuleRule's
-// per-package Check returns nil; Run and the driver call CheckModule once
+// per-package Check returns nil; Run and RunAudit call CheckModule once
 // with every loaded package.
 type ModuleRule interface {
 	Rule
@@ -128,21 +128,21 @@ func DefaultRules() []Rule {
 	}
 }
 
-// Directive is one //smtlint:ignore comment, addressed by position and
+// directive is one //smtlint:ignore comment, addressed by position and
 // the rule name as written (possibly "*").
-type Directive struct {
+type directive struct {
 	// File is the directive's filename as recorded in the file set.
-	File string `json:"file"`
+	File string
 	// Line is the directive's 1-based line.
-	Line int `json:"line"`
+	Line int
 	// Rule is the rule name the directive names, or "*".
-	Rule string `json:"rule"`
+	Rule string
 	// Col is the directive's column, for stale-directive findings.
-	Col int `json:"col"`
+	Col int
 }
 
 // Key renders the directive's identity for used-set bookkeeping.
-func (d Directive) Key() string {
+func (d directive) Key() string {
 	return fmt.Sprintf("%s:%d:%s", d.File, d.Line, d.Rule)
 }
 
@@ -154,11 +154,11 @@ func Run(rules []Rule, pkgs []*Package) []Finding {
 	used := map[string]bool{}
 	var out []Finding
 	for _, p := range pkgs {
-		fs, _ := CheckPackage(rules, p, used)
+		fs, _ := checkPackage(rules, p, used)
 		out = append(out, fs...)
 	}
-	out = append(out, CheckModuleRules(rules, pkgs, used)...)
-	SortFindings(out)
+	out = append(out, checkModuleRules(rules, pkgs, used)...)
+	sortFindings(out)
 	return out
 }
 
@@ -169,25 +169,25 @@ func Run(rules []Rule, pkgs []*Package) []Finding {
 func RunAudit(rules []Rule, pkgs []*Package) []Finding {
 	used := map[string]bool{}
 	var out []Finding
-	var all []Directive
+	var all []directive
 	for _, p := range pkgs {
-		fs, dirs := CheckPackage(rules, p, used)
+		fs, dirs := checkPackage(rules, p, used)
 		out = append(out, fs...)
 		all = append(all, dirs...)
 	}
-	out = append(out, CheckModuleRules(rules, pkgs, used)...)
-	out = append(out, StaleDirectives(all, used)...)
-	SortFindings(out)
+	out = append(out, checkModuleRules(rules, pkgs, used)...)
+	out = append(out, staleDirectives(all, used)...)
+	sortFindings(out)
 	return out
 }
 
-// CheckPackage applies the per-package rules to p, filters the findings
+// checkPackage applies the per-package rules to p, filters the findings
 // through p's ignore directives, and returns the survivors along with
 // every directive in the package. Directives that suppressed at least
-// one finding are recorded in used (keyed by Directive.Key); pass nil to
+// one finding are recorded in used (keyed by directive.Key); pass nil to
 // skip the bookkeeping.
-func CheckPackage(rules []Rule, p *Package, used map[string]bool) ([]Finding, []Directive) {
-	dirs := Directives(p)
+func checkPackage(rules []Rule, p *Package, used map[string]bool) ([]Finding, []directive) {
+	dirs := directives(p)
 	idx := buildIgnoreIndex(dirs)
 	var out []Finding
 	for _, r := range rules {
@@ -199,9 +199,9 @@ func CheckPackage(rules []Rule, p *Package, used map[string]bool) ([]Finding, []
 	return out, dirs
 }
 
-// CheckModuleRules applies the module-wide rules once over all packages,
+// checkModuleRules applies the module-wide rules once over all packages,
 // filtering findings through the directives of every package.
-func CheckModuleRules(rules []Rule, pkgs []*Package, used map[string]bool) []Finding {
+func checkModuleRules(rules []Rule, pkgs []*Package, used map[string]bool) []Finding {
 	var mods []ModuleRule
 	for _, r := range rules {
 		if mr, ok := r.(ModuleRule); ok {
@@ -211,9 +211,9 @@ func CheckModuleRules(rules []Rule, pkgs []*Package, used map[string]bool) []Fin
 	if len(mods) == 0 {
 		return nil
 	}
-	var dirs []Directive
+	var dirs []directive
 	for _, p := range pkgs {
-		dirs = append(dirs, Directives(p)...)
+		dirs = append(dirs, directives(p)...)
 	}
 	idx := buildIgnoreIndex(dirs)
 	var out []Finding
@@ -223,10 +223,10 @@ func CheckModuleRules(rules []Rule, pkgs []*Package, used map[string]bool) []Fin
 	return out
 }
 
-// StaleDirectives returns an "unusedignore" finding for every directive
+// staleDirectives returns an "unusedignore" finding for every directive
 // in all whose key is absent from used: an ignore that suppresses
 // nothing is a stale justification and must be deleted.
-func StaleDirectives(all []Directive, used map[string]bool) []Finding {
+func staleDirectives(all []directive, used map[string]bool) []Finding {
 	var out []Finding
 	for _, d := range all {
 		if used[d.Key()] {
@@ -241,8 +241,8 @@ func StaleDirectives(all []Directive, used map[string]bool) []Finding {
 	return out
 }
 
-// SortFindings orders findings by file, line, column, then rule.
-func SortFindings(out []Finding) {
+// sortFindings orders findings by file, line, column, then rule.
+func sortFindings(out []Finding) {
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i].Pos, out[j].Pos
 		if a.Filename != b.Filename {
@@ -269,7 +269,7 @@ type ignoreKey struct {
 // covers — its own line and the following line, so it works both
 // trailing a statement and on the line above it — to the directive's
 // index in dirs.
-func buildIgnoreIndex(dirs []Directive) map[ignoreKey]int {
+func buildIgnoreIndex(dirs []directive) map[ignoreKey]int {
 	idx := map[ignoreKey]int{}
 	for i, d := range dirs {
 		idx[ignoreKey{d.File, d.Line, d.Rule}] = i
@@ -280,7 +280,7 @@ func buildIgnoreIndex(dirs []Directive) map[ignoreKey]int {
 
 // filterFindings drops findings covered by a matching (or wildcard)
 // directive, marking the covering directive used.
-func filterFindings(fs []Finding, dirs []Directive, idx map[ignoreKey]int, used map[string]bool) []Finding {
+func filterFindings(fs []Finding, dirs []directive, idx map[ignoreKey]int, used map[string]bool) []Finding {
 	var out []Finding
 	for _, f := range fs {
 		i, ok := idx[ignoreKey{f.Pos.Filename, f.Pos.Line, f.Rule}]
@@ -298,9 +298,9 @@ func filterFindings(fs []Finding, dirs []Directive, idx map[ignoreKey]int, used 
 	return out
 }
 
-// Directives collects the package's "//smtlint:ignore" comments.
-func Directives(p *Package) []Directive {
-	var out []Directive
+// directives collects the package's "//smtlint:ignore" comments.
+func directives(p *Package) []directive {
+	var out []directive
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
@@ -315,7 +315,7 @@ func Directives(p *Package) []Directive {
 					rule = fields[0]
 				}
 				pos := p.Fset.Position(c.Pos())
-				out = append(out, Directive{File: pos.Filename, Line: pos.Line, Rule: rule, Col: pos.Column})
+				out = append(out, directive{File: pos.Filename, Line: pos.Line, Rule: rule, Col: pos.Column})
 			}
 		}
 	}

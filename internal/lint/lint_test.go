@@ -305,29 +305,23 @@ func TestMatchPackage(t *testing.T) {
 	}
 }
 
-// TestRepoIsClean is the in-process form of "make lint": the full module
-// must produce zero findings under the default rules, including the
-// unusedignore audit (no //smtlint:ignore may suppress nothing).
+// TestRepoIsClean is the in-process form of "make lint": both call
+// Drive, so the full module must produce zero findings under the default
+// rules, including the unusedignore audit (no //smtlint:ignore may
+// suppress nothing).
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads the whole module")
 	}
-	loaderOnce.Do(func() {}) // reuse if already built, but load fresh root
 	root, err := filepath.Abs(filepath.Join("..", ".."))
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := NewLoader(root)
+	got, err := Drive(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := l.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := RunAudit(DefaultRules(), pkgs); len(got) != 0 {
-		for _, f := range got {
-			t.Errorf("%s", f)
-		}
+	for _, f := range got {
+		t.Errorf("%s", f)
 	}
 }

@@ -32,7 +32,7 @@
 // Overhead contract: a nil *Tracer and a nil *Span no-op on every
 // method, so tracing off costs one branch at each (job-level, never
 // cycle-level) instrumentation site. The pipeline hot loop is never
-// touched; BenchmarkMachineTracingOff pins this.
+// touched; TestTracingOffIsInert and BenchmarkSimulatorSpeed pin this.
 //
 // obs sits outside the determinism boundary, like internal/serve and
 // internal/fabric: wall-clock reads and entropy here time and label

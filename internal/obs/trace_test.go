@@ -72,6 +72,19 @@ func TestNilTracerAndSpanNoOp(t *testing.T) {
 	}
 }
 
+// TestTracingOffIsInert pins the overhead contract: with no tracer in
+// the context, Start mints no span and EpochSpans passes the sink
+// through unchanged.
+func TestTracingOffIsInert(t *testing.T) {
+	ctx := context.Background()
+	if _, span := Start(ctx, "x", KindInternal); span != nil {
+		t.Fatal("tracing enabled without a tracer in context")
+	}
+	if sink := EpochSpans(ctx, nil); sink != nil {
+		t.Fatal("EpochSpans must pass the sink through unchanged with tracing off")
+	}
+}
+
 func TestHeadSamplingKeepsOneInN(t *testing.T) {
 	tr := NewTracer(TracerConfig{SampleN: 3})
 	kept := 0

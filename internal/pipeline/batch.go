@@ -6,9 +6,7 @@
 // full trace-generation and decode cost for byte-identical instruction
 // content. A MachineBatch advances the K siblings in lock-step chunks
 // over one shared decoded stream (isa.Fanout), so production happens
-// once per fetched instruction instead of K times, and lays the members'
-// hot state out member-major in shared arenas so each member's chunk
-// walks a contiguous region instead of K scattered heaps.
+// once per fetched instruction instead of K times.
 //
 // Divergence contract: members may diverge in fetch *timing* (a member
 // with a tighter partition stalls on different cycles) but never in
@@ -22,7 +20,6 @@ import (
 	"fmt"
 
 	"smthill/internal/isa"
-	"smthill/internal/resource"
 )
 
 // DefaultBatchChunk is the lock-step granularity of CycleAllN: each
@@ -31,16 +28,6 @@ import (
 // leader producing it and the laggards re-reading it; large enough that
 // a member's ~0.5MB private state is not reloaded per handful of cycles.
 const DefaultBatchChunk = 512
-
-// Slack mirrored from the compaction thresholds in stages.go: rob is
-// compacted once robHead reaches 256, pending once pendingHead reaches
-// 512. Arena capacities add them so steady-state compaction never
-// outgrows the carved backing. (Outgrowing is safe — the slice detaches
-// onto its own allocation — just no longer arena-resident.)
-const (
-	robArenaSlack     = 256 + 16
-	pendingArenaSlack = 512 + 64
-)
 
 // MachineBatch is K clones of a source machine advancing in lock-step
 // over a shared decoded instruction stream. Members are refilled in
@@ -70,7 +57,7 @@ type batchSpan struct {
 // instruction streams, re-binding each to a shared fan-out reader (the
 // sequence src observes is unchanged); src itself is NOT a member and is
 // never advanced by the batch — it is the refill checkpoint. Members
-// are created immediately as clones of src with arena-backed hot state.
+// are created immediately as clones of src.
 func BatchFrom(src *Machine, k int) *MachineBatch {
 	if k < 1 {
 		panic(fmt.Sprintf("pipeline: BatchFrom with %d members", k))
@@ -82,9 +69,8 @@ func BatchFrom(src *Machine, k int) *MachineBatch {
 		workers: 1,
 	}
 	b.adoptSource(src)
-	ar := newBatchArena(src, k)
 	for i := range b.members {
-		b.members[i] = cloneIntoArena(src, ar, i)
+		b.members[i] = src.Clone()
 	}
 	return b
 }
@@ -316,85 +302,4 @@ func (b *MachineBatch) chunkParallel(k, c int) {
 			f.Freeze(false)
 		}
 	}
-}
-
-// batchArena owns the member-major backing arrays of a batch's hot
-// state: conceptually a structure of arrays indexed [member][slot], so
-// member i's slab, free list, ready queue, completion ring, and
-// per-thread buffers occupy one contiguous stripe.
-type batchArena struct {
-	slabSize  int
-	freeCap   int
-	readyCap  int
-	ringSlots int
-	robCap    int
-	pendCap   int
-	threads   int
-
-	slab  []inflight
-	free  []int32
-	ready []readyEnt
-	ring  []ref
-	rob   []ref
-	pend  []isa.Inst
-}
-
-func newBatchArena(src *Machine, k int) *batchArena {
-	a := &batchArena{
-		slabSize:  len(src.slab),
-		freeCap:   len(src.slab),
-		readyCap:  len(src.slab),
-		ringSlots: len(src.doneRing),
-		robCap:    src.cfg.Resources[resource.ROB] + robArenaSlack,
-		pendCap:   src.cfg.Resources[resource.ROB] + src.cfg.IFQSize + pendingArenaSlack,
-		threads:   len(src.threads),
-	}
-	a.slab = make([]inflight, k*a.slabSize)
-	a.free = make([]int32, k*a.freeCap)
-	a.ready = make([]readyEnt, k*a.readyCap)
-	a.ring = make([]ref, k*a.ringSlots*ringSlotCap)
-	a.rob = make([]ref, k*a.threads*a.robCap)
-	a.pend = make([]isa.Inst, k*a.threads*a.pendCap)
-	return a
-}
-
-// stripe carves [i*size, (i+1)*size) with a hard capacity so an
-// overflowing append detaches onto its own backing instead of bleeding
-// into the next member's stripe.
-func stripe[T any](arena []T, i, size int) []T {
-	return arena[i*size : i*size : (i+1)*size]
-}
-
-// cloneIntoArena builds member i of a batch: a deep copy of src whose
-// hot slices are carved from the arena's member-major stripes. It
-// mirrors Machine.Clone except for where the backing arrays live.
-func cloneIntoArena(src *Machine, a *batchArena, i int) *Machine {
-	c := *src
-	c.rec = nil
-	c.res = src.res.Clone()
-	c.mem = src.mem.Clone()
-	c.bp = src.bp.Clone()
-
-	c.slab = append(stripe(a.slab, i, a.slabSize), src.slab...)
-	c.free = append(stripe(a.free, i, a.freeCap), src.free...)
-	c.readyQ = append(stripe(a.ready, i, a.readyCap), src.readyQ...)
-	c.doneRing = make([][]ref, a.ringSlots)
-	for s := range c.doneRing {
-		slot := stripe(a.ring, i*a.ringSlots+s, ringSlotCap)
-		c.doneRing[s] = append(slot, src.doneRing[s]...)
-	}
-	c.policy = src.policy.Clone()
-	c.fetchDisabled = append([]bool(nil), src.fetchDisabled...)
-	if src.inv != nil {
-		c.inv = src.inv.clone()
-	}
-	c.threads = make([]threadState, len(src.threads))
-	for t := range src.threads {
-		ts := src.threads[t]
-		ts.pending = append(stripe(a.pend, i*a.threads+t, a.pendCap), ts.pending...)
-		ts.rob = append(stripe(a.rob, i*a.threads+t, a.robCap), ts.rob...)
-		ts.stream = ts.stream.CloneStream()
-		c.threads[t] = ts
-	}
-	return &c
 }

@@ -89,7 +89,7 @@ func TestBatchMatchesIndependentMachines(t *testing.T) {
 // TestBatchSingleMemberReproducesGoldens replays the committed wakeup
 // golden traces through a one-member batch: the batch path must
 // reproduce the pinned standalone per-cycle hashes bit for bit, shared
-// decode and arena layout notwithstanding.
+// decode notwithstanding.
 func TestBatchSingleMemberReproducesGoldens(t *testing.T) {
 	for _, s := range wakeupScenarios() {
 		t.Run(s.name, func(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // attribution each for fetch and dispatch. It runs only when a recorder
 // is attached (one nil-check branch in Cycle), so the uninstrumented hot
 // loop stays within the <2% overhead contract pinned by
-// BenchmarkMachineTelemetryOff.
+// BenchmarkSimulatorSpeed.
 func (m *Machine) record(stalled bool) {
 	rec := m.rec
 	if rec == nil {

@@ -23,7 +23,7 @@
 // Overhead contract: every producer guards its instrumentation behind a
 // single nil check (nil Sink, nil Recorder), so a run with telemetry off
 // pays one predictable branch per emission site and allocates nothing.
-// The guard-rail benchmark BenchmarkMachineTelemetryOff pins the pipeline
+// The guard-rail benchmark BenchmarkSimulatorSpeed pins the pipeline
 // hot loop's cost at <2% over an uninstrumented build.
 //
 // The Event JSON schema is pinned by a golden-file test
