@@ -52,20 +52,14 @@ func Cmp(x, y float64) bool {
 	return root
 }
 
-func TestDrive(t *testing.T) {
-	got, err := Drive(writeTempModule(t))
-	if err != nil {
-		t.Fatalf("Drive: %v", err)
-	}
-	want := []struct {
-		file string
-		line int
-		rule string
-	}{
-		{"a/a.go", 4, "float-compare"},
-		{"d/d.go", 5, "float-compare"},
-		{"d/d.go", 5, "unusedignore"},
-	}
+type wantFinding struct {
+	file string
+	line int
+	rule string
+}
+
+func checkFindings(t *testing.T, got []Finding, want []wantFinding) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("got %d findings, want %d: %v", len(got), len(want), got)
 	}
@@ -75,4 +69,37 @@ func TestDrive(t *testing.T) {
 			t.Errorf("finding %d = %s, want %s:%d %s", i, f, w.file, w.line, w.rule)
 		}
 	}
+}
+
+// TestDriverNoCacheDir checks that one uncached Drive pass over a
+// module without stale directives reports only a's float-compare, with
+// a root-relative filename.
+func TestDriverNoCacheDir(t *testing.T) {
+	root := writeTempModule(t)
+	if err := os.RemoveAll(filepath.Join(root, "d")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Drive(root)
+	if err != nil {
+		t.Fatalf("Drive: %v", err)
+	}
+	checkFindings(t, got, []wantFinding{
+		{"a/a.go", 4, "float-compare"},
+	})
+}
+
+// TestDriverAuditsStaleIgnoresFromCache checks that Drive audits ignore
+// directives: d's directive names the wrong rule, so d's float-compare
+// still fires and the directive itself is reported as unusedignore.
+// Drive keeps no cache, so every run is the cold path.
+func TestDriverAuditsStaleIgnoresFromCache(t *testing.T) {
+	got, err := Drive(writeTempModule(t))
+	if err != nil {
+		t.Fatalf("Drive: %v", err)
+	}
+	checkFindings(t, got, []wantFinding{
+		{"a/a.go", 4, "float-compare"},
+		{"d/d.go", 5, "float-compare"},
+		{"d/d.go", 5, "unusedignore"},
+	})
 }
