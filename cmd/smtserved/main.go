@@ -79,13 +79,12 @@ func run() int {
 		retainFor    = flag.Duration("retain-for", 15*time.Minute, "how long a finished job stays pollable")
 		paper        = flag.Bool("paper", false, "paper-scale experiment configuration (slow)")
 
-		role       = flag.String("role", "standalone", "fabric role: standalone, coordinator, or worker")
-		coordURL   = flag.String("coordinator", "", "coordinator base URL (required with -role worker)")
-		advertise  = flag.String("advertise", "", "base URL the coordinator dials back for exec (worker; default http://<listen-addr>)")
-		nodeID     = flag.String("node-id", "", "this worker's fabric identity (default: the advertise address)")
-		heartbeat  = flag.Duration("heartbeat", 2*time.Second, "worker heartbeat interval")
-		hbTimeout  = flag.Duration("heartbeat-timeout", 10*time.Second, "coordinator reaps workers silent this long")
-		stealDepth = flag.Int("steal-depth", 4, "coordinator steals a job when the owner's queue is this much deeper than the least-loaded worker's")
+		role      = flag.String("role", "standalone", "fabric role: standalone, coordinator, or worker")
+		coordURL  = flag.String("coordinator", "", "coordinator base URL (required with -role worker)")
+		advertise = flag.String("advertise", "", "base URL the coordinator dials back for exec (worker; default http://<listen-addr>)")
+		nodeID    = flag.String("node-id", "", "this worker's fabric identity (default: the advertise address)")
+		heartbeat = flag.Duration("heartbeat", 2*time.Second, "worker heartbeat interval")
+		hbTimeout = flag.Duration("heartbeat-timeout", 10*time.Second, "coordinator reaps workers silent this long")
 
 		traceSample = flag.Int("trace-sample", 0, "trace 1 in N API requests (0 disables tracing; errors are always sampled)")
 		traceRing   = flag.Int("trace-ring", 2048, "spans retained in the in-process ring behind /debug/traces")
@@ -167,7 +166,6 @@ func run() int {
 		coord = fabric.NewCoordinator(fabric.CoordinatorConfig{
 			Store:            store,
 			HeartbeatTimeout: *hbTimeout,
-			StealDepth:       *stealDepth,
 			Logf:             logger.Printf,
 			Tracer:           tracer,
 			ScrapeInterval:   *heartbeat,

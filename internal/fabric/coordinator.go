@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"smthill/internal/obs"
@@ -27,14 +28,8 @@ type CoordinatorConfig struct {
 	// ExecTimeout bounds one dispatched job execution (default 10m,
 	// matching serve's job timeout).
 	ExecTimeout time.Duration
-	// StealDepth triggers work-stealing: when the ring owner's reported
-	// queue is more than StealDepth jobs deeper than the least-loaded
-	// worker's, the job goes to the latter (default 4).
-	StealDepth int
 	// Vnodes is the ring's virtual-node count per worker (default 64).
 	Vnodes int
-	// AffinityKeys caps the key->worker affinity index (default 65536).
-	AffinityKeys int
 	// Client performs dispatch HTTP (default http.DefaultClient).
 	Client *http.Client
 	// Logf receives operational log lines (nil = discard).
@@ -60,12 +55,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	if c.ExecTimeout <= 0 {
 		c.ExecTimeout = 10 * time.Minute
 	}
-	if c.StealDepth <= 0 {
-		c.StealDepth = 4
-	}
-	if c.AffinityKeys <= 0 {
-		c.AffinityKeys = 65536
-	}
 	if c.Client == nil {
 		c.Client = http.DefaultClient
 	}
@@ -78,6 +67,11 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
+// stealDepth triggers work-stealing: when the ring owner's reported
+// queue is more than stealDepth jobs deeper than the least-loaded
+// worker's, the job goes to the latter.
+const stealDepth = 4
+
 // member is the coordinator's view of one worker.
 type member struct {
 	id       string
@@ -89,24 +83,22 @@ type member struct {
 
 // Coordinator owns the fabric's control plane: worker membership and
 // liveness, the consistent-hash ring, the shared result store (served
-// over HTTP with a gossip log), and job dispatch. It implements
-// sweep.Remote, so installing it on an engine (sweep.SetRemote) makes
-// every engine job transparently eligible for distribution; any
-// dispatch failure falls back to local execution in the engine.
+// over HTTP), and job dispatch. It implements sweep.Remote, so
+// installing it on an engine (sweep.SetRemote) makes every engine job
+// transparently eligible for distribution; any dispatch failure falls
+// back to local execution in the engine.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	now func() time.Time // injectable for liveness tests
 
-	store    *storeLog
+	store    *countingStore
 	storeSrv *StoreServer
 	handler  http.Handler
 	fed      *obs.Federator
 
-	mu       sync.Mutex
-	members  map[string]*member // guarded by mu
-	ring     *Ring              // guarded by mu
-	affinity map[string]string  // guarded by mu
-	affOrder []string           // guarded by mu; affinity insertion order, for cap eviction
+	mu      sync.Mutex
+	members map[string]*member // guarded by mu
+	ring    *Ring              // guarded by mu
 
 	reg            *obs.Registry
 	peersGauge     *obs.GaugeVec   // state
@@ -127,14 +119,13 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	cfg = cfg.withDefaults()
 	reg := obs.NewRegistry()
 	c := &Coordinator{
-		cfg:      cfg,
-		now:      time.Now,
-		store:    newStoreLog(cfg.Store),
-		fed:      obs.NewFederator(cfg.Client),
-		members:  map[string]*member{},
-		ring:     NewRing(cfg.Vnodes),
-		affinity: map[string]string{},
-		reg:      reg,
+		cfg:     cfg,
+		now:     time.Now,
+		store:   &countingStore{Backend: cfg.Store},
+		fed:     obs.NewFederator(cfg.Client),
+		members: map[string]*member{},
+		ring:    NewRing(cfg.Vnodes),
+		reg:     reg,
 		peersGauge: reg.GaugeVec("smtserved_fabric_peers",
 			"registered workers by liveness state", "state"),
 		dispatches: reg.CounterVec("smtserved_fabric_dispatch_total",
@@ -155,7 +146,7 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	// Materialize the full label vocabulary so zero-valued series render.
 	c.peersGauge.With("alive")
 	c.peersGauge.With("dead")
-	for _, k := range []string{"owner", "stolen", "affinity"} {
+	for _, k := range []string{"owner", "stolen"} {
 		c.dispatches.With(k)
 	}
 	c.storeSrv = NewStoreServer(c.store)
@@ -175,7 +166,7 @@ func (c *Coordinator) Handler() http.Handler { return c.handler }
 
 // Backend returns the result store as a sweep.Backend. Install it on
 // the coordinator's own engine so locally computed results enter the
-// store (and its gossip log) exactly like worker uploads.
+// store exactly like worker uploads.
 func (c *Coordinator) Backend() sweep.Backend { return c.store }
 
 // Registry returns the coordinator's metric registry (dispatch,
@@ -204,7 +195,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	c.admit(req.ID, req.Addr, 0)
 	span.SetAttr("worker", req.ID)
 	span.End(nil)
-	writeProtoJSON(w, RegisterResponse{Version: ProtocolVersion, StoreSeq: c.store.seq()})
+	writeProtoJSON(w, RegisterResponse{Version: ProtocolVersion})
 }
 
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -226,7 +217,6 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	c.admit(hb.ID, hb.Addr, hb.QueueDepth)
-	c.absorbRecent(hb.ID, hb.RecentKeys)
 	c.reap()
 	// Federation rides the heartbeat cadence: each beat may trigger one
 	// asynchronous scrape of the worker's /metrics, rate-limited per
@@ -240,10 +230,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 			}
 		}()
 	}
-	newKeys, seq := c.store.since(hb.Seq)
 	span.SetAttr("worker", hb.ID)
 	span.End(nil)
-	writeProtoJSON(w, HeartbeatResponse{Version: ProtocolVersion, StoreSeq: seq, NewKeys: newKeys})
+	writeProtoJSON(w, HeartbeatResponse{Version: ProtocolVersion})
 }
 
 // peerLiveness returns id->alive for every registered member.
@@ -315,30 +304,6 @@ func (c *Coordinator) updatePeerGauges() {
 	c.peersGauge.With("dead").Set(float64(dead))
 }
 
-// absorbRecent updates dispatch affinity from gossiped recently
-// computed keys: the next request for such a key prefers the worker
-// whose memo is already warm.
-func (c *Coordinator) absorbRecent(id string, keys []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, k := range keys {
-		c.noteAffinity(k, id)
-	}
-}
-
-// noteAffinity records key->worker with FIFO eviction at the cap.
-// Callers hold mu.
-func (c *Coordinator) noteAffinity(key, id string) {
-	if _, ok := c.affinity[key]; !ok {
-		c.affOrder = append(c.affOrder, key)
-		for len(c.affOrder) > c.cfg.AffinityKeys {
-			delete(c.affinity, c.affOrder[0])
-			c.affOrder = c.affOrder[1:]
-		}
-	}
-	c.affinity[key] = id
-}
-
 // reap removes workers silent past the liveness timeout from the
 // ring. It takes mu itself and must not be called with mu held.
 func (c *Coordinator) reap() {
@@ -381,14 +346,17 @@ func (c *Coordinator) suspect(id string, err error) {
 type dispatchTarget struct {
 	id   string
 	addr string
-	kind string // "affinity", "stolen", "owner"
+	kind string // "owner", "stolen", "redispatch"
 }
 
-// plan produces the preference-ordered dispatch targets for key:
-// affinity first (a memo-warm worker beats everything), then the ring
-// owner — replaced by the least-loaded worker when the owner's queue is
-// StealDepth deeper —, then the remaining ring walk as re-dispatch
-// candidates. Empty means no live workers: run locally.
+// plan produces the preference-ordered dispatch targets for key: the
+// ring owner — replaced by the least-loaded worker when the owner's
+// queue is stealDepth deeper —, then the remaining ring walk as
+// re-dispatch candidates. Empty means no live workers: run locally.
+//
+// No memo-warm preference is needed: the engine consults its memo and
+// the shared store before calling Exec, so a key any node has stored is
+// never planned.
 func (c *Coordinator) plan(key string) []dispatchTarget {
 	c.reap()
 	c.mu.Lock()
@@ -419,16 +387,8 @@ func (c *Coordinator) plan(key string) []dispatchTarget {
 			minID, minDepth = id, m.depth
 		}
 	}
-	if minID != "" && minID != targets[0].id && owner.depth-minDepth > c.cfg.StealDepth {
+	if minID != "" && minID != targets[0].id && owner.depth-minDepth > stealDepth {
 		targets = moveToFront(targets, minID, "stolen")
-	}
-
-	// Affinity: a worker that already computed this key serves it from
-	// its memo; prefer it even over the steal choice.
-	if id, ok := c.affinity[key]; ok {
-		if m, live := c.members[id]; live && m.alive {
-			targets = moveToFront(targets, id, "affinity")
-		}
 	}
 	return targets
 }
@@ -480,7 +440,7 @@ func (c *Coordinator) Exec(ctx context.Context, key string) (json.RawMessage, bo
 		}
 		raw, spans, retryable, err := c.execOn(ctx, t.addr, key)
 		if err == nil {
-			c.finishDispatch(t, key, start)
+			c.finishDispatch(t, start)
 			span.SetAttr("worker", t.id)
 			span.SetAttr("kind", t.kind)
 			span.End(nil)
@@ -543,20 +503,16 @@ func (c *Coordinator) execOn(ctx context.Context, addr, key string) (raw json.Ra
 	return er.Result, er.Spans, false, nil
 }
 
-// finishDispatch records a successful dispatch: counters by kind, the
-// new affinity, and the end-to-end latency.
-func (c *Coordinator) finishDispatch(t dispatchTarget, key string, start time.Time) {
+// finishDispatch records a successful dispatch: counters by kind and
+// the end-to-end latency.
+func (c *Coordinator) finishDispatch(t dispatchTarget, start time.Time) {
 	elapsed := c.now().Sub(start)
-	switch t.kind {
-	case "affinity", "stolen":
-		c.dispatches.With(t.kind).Inc()
-	default:
+	if t.kind == "stolen" {
+		c.dispatches.With("stolen").Inc()
+	} else {
 		c.dispatches.With("owner").Inc()
 	}
 	c.execMS.Observe(int(elapsed.Milliseconds()))
-	c.mu.Lock()
-	c.noteAffinity(key, t.id)
-	c.mu.Unlock()
 }
 
 // PeerStatus is one worker's liveness as reported by Health.
@@ -598,7 +554,7 @@ func (c *Coordinator) Health() map[string]any {
 		"fabric_role":        "coordinator",
 		"fabric_peers":       peers,
 		"fabric_peers_alive": alive,
-		"fabric_store_keys":  c.store.seq(),
+		"fabric_store_keys":  c.store.puts.Load(),
 	}
 	for k, v := range c.fed.Summary(c.peerLiveness(), c.now(), c.cfg.HeartbeatTimeout) {
 		h[k] = v
@@ -610,76 +566,20 @@ func (c *Coordinator) Health() map[string]any {
 // liveness, latency) plus its store server's, in exposition format.
 func (c *Coordinator) WriteMetrics(w io.Writer) { c.reg.Write(w) }
 
-// storeLog wraps the backing store with an append-only log of stored
-// keys, the source of heartbeat gossip. Every write path — worker
+// countingStore counts successful Puts into the backing store, the
+// source of Health's fabric_store_keys. Every write path — worker
 // uploads through the HTTP store, the coordinator engine's own cache
-// writes — funnels through Put, so the log sees everything.
-type storeLog struct {
-	backend sweep.Backend
-
-	mu   sync.Mutex
-	base uint64   // guarded by mu; sequence number of log[0]; sequences start at 1
-	log  []string // guarded by mu; most recent stored keys, oldest first
-	next uint64   // guarded by mu; next sequence to assign (== total keys ever logged + 1)
+// writes — funnels through Put. A key stored twice counts twice.
+type countingStore struct {
+	sweep.Backend
+	puts atomic.Uint64
 }
 
-// storeLogCap bounds the retained gossip window. A worker further than
-// this behind simply misses the older keys — gossip is a hint; the
-// store remains authoritative via ordinary Gets.
-const storeLogCap = 8192
-
-func newStoreLog(backend sweep.Backend) *storeLog {
-	return &storeLog{backend: backend, base: 1, next: 1}
-}
-
-// Get implements sweep.Backend.
-func (l *storeLog) Get(ctx context.Context, key string) (json.RawMessage, bool) {
-	return l.backend.Get(ctx, key)
-}
-
-// Put implements sweep.Backend, recording the key in the gossip log on
-// success. Duplicate puts of a key (several nodes computing it
-// concurrently) log once per burst: the log tail is checked, which
-// suffices to keep steady-state re-logging out.
-func (l *storeLog) Put(ctx context.Context, key string, raw json.RawMessage) error {
-	if err := l.backend.Put(ctx, key, raw); err != nil {
+// Put implements sweep.Backend.
+func (s *countingStore) Put(ctx context.Context, key string, raw json.RawMessage) error {
+	if err := s.Backend.Put(ctx, key, raw); err != nil {
 		return err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n := len(l.log); n > 0 && l.log[n-1] == key {
-		return nil
-	}
-	l.log = append(l.log, key)
-	l.next++
-	if len(l.log) > storeLogCap {
-		drop := len(l.log) - storeLogCap
-		l.log = l.log[drop:]
-		l.base += uint64(drop)
-	}
+	s.puts.Add(1)
 	return nil
-}
-
-// seq returns the latest assigned sequence (0 when nothing is stored).
-func (l *storeLog) seq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next - 1
-}
-
-// since returns the keys stored after sequence s (capped to the
-// retained window) and the latest sequence.
-func (l *storeLog) since(s uint64) ([]string, uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	latest := l.next - 1
-	if s >= latest {
-		return nil, latest
-	}
-	from := 0
-	if s+1 >= l.base {
-		from = int(s + 1 - l.base)
-	}
-	out := append([]string(nil), l.log[from:]...)
-	return out, latest
 }

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"smthill/internal/sweep"
 )
 
 // fakeWorker is a canned exec endpoint: it answers every key with a
@@ -173,9 +176,9 @@ func TestFabricWorkerRejectionEndsDispatch(t *testing.T) {
 }
 
 // TestFabricStealing: a deeply queued owner loses the job to the
-// least-loaded worker; affinity overrides the steal.
+// least-loaded worker.
 func TestFabricStealing(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{StealDepth: 4, Logf: t.Logf})
+	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
 	c.admit("deep", "http://deep", 10)
 	c.admit("idle", "http://idle", 0)
 	key := keyOwnedBy(t, c, "deep")
@@ -191,26 +194,19 @@ func TestFabricStealing(t *testing.T) {
 	if plan[0].id != "deep" || plan[0].kind != "owner" {
 		t.Fatalf("plan with balanced load = %+v, want deep owner first", plan)
 	}
-
-	// A memo-warm worker beats both placements.
-	c.admit("deep", "http://deep", 10)
-	c.absorbRecent("deep", []string{key})
-	plan = c.plan(key)
-	if plan[0].id != "deep" || plan[0].kind != "affinity" {
-		t.Fatalf("plan with affinity = %+v, want deep affinity first", plan)
-	}
 }
 
-// TestFabricHeartbeatGossip drives the HTTP control plane end to end:
-// register, store writes, and the incremental key log across beats.
-func TestFabricHeartbeatGossip(t *testing.T) {
+// TestFabricControlPlane drives the HTTP control plane end to end:
+// register, version skew, heartbeat liveness and load, the store-keys
+// health count, and heartbeats from nodes that still send the retired
+// gossip fields.
+func TestFabricControlPlane(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	post := func(path string, body, out any) int {
+	postRaw := func(path string, raw []byte, out any) int {
 		t.Helper()
-		raw, _ := json.Marshal(body)
 		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
@@ -223,14 +219,29 @@ func TestFabricHeartbeatGossip(t *testing.T) {
 		}
 		return resp.StatusCode
 	}
+	post := func(path string, body, out any) int {
+		t.Helper()
+		raw, _ := json.Marshal(body)
+		return postRaw(path, raw, out)
+	}
+	peer := func(id string) PeerStatus {
+		t.Helper()
+		for _, p := range c.Peers() {
+			if p.ID == id {
+				return p
+			}
+		}
+		t.Fatalf("no peer %s in %+v", id, c.Peers())
+		return PeerStatus{}
+	}
 
 	var reg RegisterResponse
 	if code := post("/fabric/v1/register",
 		RegisterRequest{Version: ProtocolVersion, ID: "w1", Addr: "http://w1"}, &reg); code != http.StatusOK {
 		t.Fatalf("register: HTTP %d", code)
 	}
-	if reg.StoreSeq != 0 {
-		t.Fatalf("fresh store seq = %d", reg.StoreSeq)
+	if reg.Version != ProtocolVersion {
+		t.Fatalf("register response version = %d", reg.Version)
 	}
 
 	// Version skew is refused at the door.
@@ -239,69 +250,78 @@ func TestFabricHeartbeatGossip(t *testing.T) {
 		t.Fatalf("future-version register: HTTP %d, want 400", code)
 	}
 
-	// Results stored through the coordinator's backend appear in the
-	// next heartbeat's gossip.
+	// A heartbeat refreshes liveness and the reported queue depth.
+	var hb HeartbeatResponse
+	if code := post("/fabric/v1/heartbeat",
+		Heartbeat{Version: ProtocolVersion, ID: "w1", Addr: "http://w1", QueueDepth: 3}, &hb); code != http.StatusOK {
+		t.Fatalf("heartbeat: HTTP %d", code)
+	}
+	if hb.Version != ProtocolVersion {
+		t.Fatalf("heartbeat response version = %d", hb.Version)
+	}
+	if p := peer("w1"); !p.Alive || p.QueueDepth != 3 {
+		t.Fatalf("after heartbeat w1 = %+v, want alive with queue depth 3", p)
+	}
+
+	// Results stored through the coordinator's backend are counted.
 	if err := c.Backend().Put(context.Background(), "key-a", json.RawMessage(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Backend().Put(context.Background(), "key-b", json.RawMessage(`2`)); err != nil {
-		t.Fatal(err)
-	}
-	var hb1 HeartbeatResponse
-	post("/fabric/v1/heartbeat", Heartbeat{Version: ProtocolVersion, ID: "w1", Addr: "http://w1", Seq: reg.StoreSeq}, &hb1)
-	if len(hb1.NewKeys) != 2 || hb1.NewKeys[0] != "key-a" || hb1.NewKeys[1] != "key-b" {
-		t.Fatalf("first beat NewKeys = %v", hb1.NewKeys)
-	}
-	var hb2 HeartbeatResponse
-	post("/fabric/v1/heartbeat", Heartbeat{Version: ProtocolVersion, ID: "w1", Addr: "http://w1", Seq: hb1.StoreSeq}, &hb2)
-	if len(hb2.NewKeys) != 0 {
-		t.Fatalf("caught-up beat NewKeys = %v", hb2.NewKeys)
+	if got := c.Health()["fabric_store_keys"]; got != uint64(1) {
+		t.Fatalf("fabric_store_keys = %v, want 1", got)
 	}
 
-	// RecentKeys gossip feeds dispatch affinity.
-	post("/fabric/v1/heartbeat", Heartbeat{
-		Version: ProtocolVersion, ID: "w1", Addr: "http://w1",
-		Seq: hb2.StoreSeq, RecentKeys: []string{"key-a"},
-	}, nil)
-	c.mu.Lock()
-	aff := c.affinity["key-a"]
-	c.mu.Unlock()
-	if aff != "w1" {
-		t.Fatalf("affinity[key-a] = %q, want w1", aff)
+	// A heartbeat in the older wire format, gossip fields included, is
+	// still admitted: decoders ignore the fields they no longer know.
+	old := `{"version":1,"id":"w9","addr":"http://w9","queue_depth":0,"seq":7,"recent_keys":["k"]}`
+	if code := postRaw("/fabric/v1/heartbeat", []byte(old), nil); code != http.StatusOK {
+		t.Fatalf("older-format heartbeat: HTTP %d, want 200", code)
+	}
+	if p := peer("w9"); !p.Alive {
+		t.Fatalf("older-format heartbeat left w9 = %+v, want alive", p)
 	}
 }
 
-func TestFabricStoreLogWindow(t *testing.T) {
-	l := newStoreLog(NewMemStore())
-	for i := 0; i < storeLogCap+10; i++ {
-		if err := l.Put(context.Background(), fmt.Sprintf("k%d", i), json.RawMessage(`0`)); err != nil {
-			t.Fatal(err)
+// TestFabricStoredKeyNeverDispatched pins the engine ordering the
+// coordinator relies on: memo and store are consulted before Exec, so a
+// key already in the coordinator's store is served from it and never
+// placed on a worker.
+func TestFabricStoredKeyNeverDispatched(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+	eng := sweep.NewEngine(1)
+	eng.SetBackend(c.Backend())
+	eng.SetRemote(c)
+
+	key := "v1|stored|k=1"
+	stored := json.RawMessage(`{"ipc":[1.25,0.5]}`)
+	if err := c.Backend().Put(context.Background(), key, stored); err != nil {
+		t.Fatal(err)
+	}
+	jobs := []sweep.Job[json.RawMessage]{{
+		Key: key,
+		// The engine may call Run off the test goroutine, where t.Fatal
+		// must not be used; an error fails the sweep instead.
+		Run: func(context.Context) (json.RawMessage, error) {
+			t.Error("stored key was executed")
+			return nil, errors.New("stored key was executed")
+		},
+	}}
+	res, err := sweep.Run(context.Background(), eng, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(res[key], stored) {
+		t.Fatalf("result = %s, want stored %s", res[key], stored)
+	}
+	if n := c.localFallback.Value(); n != 0 {
+		t.Errorf("localFallback = %d, want 0 (Exec was called)", n)
+	}
+	for _, k := range []string{"owner", "stolen"} {
+		if n := c.dispatches.With(k).Value(); n != 0 {
+			t.Errorf("dispatch_total{kind=%q} = %d, want 0", k, n)
 		}
 	}
-	// A reader from the beginning only sees the retained window.
-	keys, seq := l.since(0)
-	if len(keys) != storeLogCap {
-		t.Fatalf("since(0) returned %d keys, want the %d-key window", len(keys), storeLogCap)
-	}
-	if seq != uint64(storeLogCap+10) {
-		t.Fatalf("seq = %d, want %d", seq, storeLogCap+10)
-	}
-	if keys[len(keys)-1] != fmt.Sprintf("k%d", storeLogCap+9) {
-		t.Fatalf("window ends at %s", keys[len(keys)-1])
-	}
-	// A caught-up reader sees exactly the new keys.
-	if err := l.Put(context.Background(), "fresh", json.RawMessage(`1`)); err != nil {
-		t.Fatal(err)
-	}
-	keys, _ = l.since(seq)
-	if len(keys) != 1 || keys[0] != "fresh" {
-		t.Fatalf("incremental since = %v", keys)
-	}
-	// Consecutive duplicate puts log once.
-	if err := l.Put(context.Background(), "fresh", json.RawMessage(`1`)); err != nil {
-		t.Fatal(err)
-	}
-	if keys, _ := l.since(seq); len(keys) != 1 {
-		t.Fatalf("duplicate put re-logged: %v", keys)
+	if n := c.dispatchFailed.Value() + c.redispatched.Value(); n != 0 {
+		t.Errorf("dispatchFailed+redispatched = %d, want 0", n)
 	}
 }

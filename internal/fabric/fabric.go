@@ -1,8 +1,8 @@
 // Package fabric distributes the sweep engine across processes: a
 // coordinator consistent-hashes job keys over registered worker nodes,
 // workers execute keys on their local engines, and a shared
-// content-addressed result store (plus memo-gossip piggybacked on
-// heartbeats) lets every node serve what any node computed.
+// content-addressed result store lets every node serve what any node
+// computed.
 //
 // The design leans entirely on the sweep package's determinism
 // contract: a job key uniquely determines its result, and results
@@ -16,11 +16,10 @@
 //
 // Topology: the coordinator owns the result store and the hash ring.
 // Workers register over HTTP, then heartbeat periodically; a heartbeat
-// carries the worker's queue depth (feeding work-stealing), the keys it
-// computed since the last beat (feeding the coordinator's dispatch
-// affinity), and its store-log position (the response returns keys
-// newly stored by other nodes, which the worker's store client
-// revalidates with conditional fetches). A worker that misses
+// carries only liveness and the worker's queue depth (feeding
+// work-stealing). No memo state travels on it: the engine consults its
+// memo and the shared store before it dispatches, so a key any node has
+// stored never reaches placement. A worker that misses
 // heartbeats past the liveness timeout is reaped from the ring; jobs
 // in flight to it are re-dispatched to surviving workers the moment
 // the connection fails, so a mid-sweep worker death costs a retry,
@@ -62,34 +61,25 @@ type RegisterRequest struct {
 	Addr    string `json:"addr"` // base URL the coordinator dials back
 }
 
-// RegisterResponse acknowledges registration and tells the worker where
-// the store log currently ends, so its first heartbeat asks only for
-// keys stored after it joined.
+// RegisterResponse acknowledges registration.
 type RegisterResponse struct {
-	Version  int    `json:"version"`
-	StoreSeq uint64 `json:"store_seq"`
+	Version int `json:"version"`
 }
 
-// Heartbeat is a worker's periodic liveness report. RecentKeys lists
-// keys the worker computed (not cache hits) since its previous beat —
-// the memo-gossip that feeds the coordinator's dispatch affinity. Seq
-// is the store-log position from the previous HeartbeatResponse.
+// Heartbeat is a worker's periodic liveness report. QueueDepth is the
+// number of exec requests it is running, the load view work-stealing
+// reads. Decoders ignore unknown fields, so beats from nodes that still
+// send the retired gossip fields (seq, recent_keys) are accepted.
 type Heartbeat struct {
-	Version    int      `json:"version"`
-	ID         string   `json:"id"`
-	Addr       string   `json:"addr"`
-	QueueDepth int      `json:"queue_depth"`
-	Seq        uint64   `json:"seq"`
-	RecentKeys []string `json:"recent_keys,omitempty"`
+	Version    int    `json:"version"`
+	ID         string `json:"id"`
+	Addr       string `json:"addr"`
+	QueueDepth int    `json:"queue_depth"`
 }
 
-// HeartbeatResponse returns the gossip flowing the other way: keys the
-// store gained since the worker's Seq (capped; a lagging worker catches
-// up over several beats) and the new log position.
+// HeartbeatResponse acknowledges a beat.
 type HeartbeatResponse struct {
-	Version  int      `json:"version"`
-	StoreSeq uint64   `json:"store_seq"`
-	NewKeys  []string `json:"new_keys,omitempty"`
+	Version int `json:"version"`
 }
 
 // ExecRequest asks a worker to execute one job key.
@@ -101,16 +91,14 @@ type ExecRequest struct {
 // ExecResponse carries the result bytes back. Result is the worker
 // engine's stored JSON for the key, verbatim — the coordinator adopts
 // it without re-encoding so distributed results stay byte-identical to
-// local ones. QueueDepth lets every exec round-trip refresh the
-// coordinator's load view between heartbeats. Spans backhauls the
+// local ones. Spans backhauls the
 // worker-side trace spans of this execution (server span, engine
 // compute, learning epochs, store round-trips) when the request
 // carried a sampled traceparent; the coordinator adopts them so its
 // /debug/traces shows the whole cross-node trace.
 type ExecResponse struct {
-	Version    int             `json:"version"`
-	Key        string          `json:"key"`
-	Result     json.RawMessage `json:"result"`
-	QueueDepth int             `json:"queue_depth"`
-	Spans      []obs.SpanData  `json:"spans,omitempty"`
+	Version int             `json:"version"`
+	Key     string          `json:"key"`
+	Result  json.RawMessage `json:"result"`
+	Spans   []obs.SpanData  `json:"spans,omitempty"`
 }

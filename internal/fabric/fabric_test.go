@@ -153,11 +153,10 @@ func TestFabricClusterByteIdentical(t *testing.T) {
 	}
 
 	// The fabric must actually have carried the work: every job the
-	// engine saw was dispatched (owner, stolen, or affinity), none failed
-	// through to local fallback.
+	// engine saw was dispatched (owner or stolen), none failed through to
+	// local fallback.
 	dispatched := coord.dispatches.With("owner").Value() +
-		coord.dispatches.With("stolen").Value() +
-		coord.dispatches.With("affinity").Value()
+		coord.dispatches.With("stolen").Value()
 	failed, fellBack := coord.dispatchFailed.Value(), coord.localFallback.Value()
 	if dispatched == 0 {
 		t.Error("no jobs were dispatched; the fabric sat idle")

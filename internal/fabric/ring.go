@@ -15,8 +15,7 @@ const ringVnodes = 64
 // Ring is a consistent-hash ring mapping job keys to member IDs. Adding
 // or removing one member moves only the keys that member owned (plus
 // 1/n of the circle on an add) — the property that keeps the
-// coordinator's placement stable, and therefore its dispatch affinity
-// useful, while workers join and die.
+// coordinator's placement stable while workers join and die.
 //
 // Ring is not safe for concurrent use; the Coordinator guards it with
 // its own mutex.

@@ -60,35 +60,20 @@ func (s *MemStore) Len() int {
 }
 
 // etagFor is the strong validator of a stored result: a quoted sha256
-// of the exact bytes. Because results are content-addressed and
-// deterministic, any node can recompute the ETag of its local copy —
-// conditional revalidation needs no validator bookkeeping.
+// of the exact bytes.
 func etagFor(raw []byte) string {
 	sum := sha256.Sum256(raw)
 	return `"` + hex.EncodeToString(sum[:]) + `"`
 }
 
-// etagMatches implements If-None-Match: a "*" or any listed entity tag
-// equal to etag matches.
-func etagMatches(header, etag string) bool {
-	for _, part := range strings.Split(header, ",") {
-		part = strings.TrimSpace(part)
-		if part == "*" || part == etag {
-			return true
-		}
-	}
-	return false
-}
-
 // StoreServer serves a sweep.Backend over HTTP as the fabric's shared
 // content-addressed result store:
 //
-//	GET  /fabric/v1/store?key=K   200 body + ETag, 304 on If-None-Match, 404 miss
+//	GET  /fabric/v1/store?key=K   200 body + ETag, 404 miss
 //	PUT  /fabric/v1/store?key=K   204 + ETag of the stored bytes
 //
 // Results are immutable under the determinism contract, so the server
-// never needs invalidation; conditional GETs exist so gossip-triggered
-// revalidation costs a header exchange, not a body transfer.
+// never needs invalidation.
 type StoreServer struct {
 	backend sweep.Backend
 	tracer  *obs.Tracer
@@ -98,8 +83,8 @@ type StoreServer struct {
 	bytes    *obs.CounterVec // dir
 }
 
-// NewStoreServer serves backend. The Coordinator wraps its backend so
-// PUTs land in the gossip log; standalone use works with any Backend.
+// NewStoreServer serves backend. The Coordinator wraps its backend to
+// count stored results; standalone use works with any Backend.
 func NewStoreServer(backend sweep.Backend) *StoreServer {
 	reg := obs.NewRegistry()
 	s := &StoreServer{
@@ -113,7 +98,7 @@ func NewStoreServer(backend sweep.Backend) *StoreServer {
 	// Materialize every series up front so a scrape shows the full
 	// outcome vocabulary at zero.
 	for _, pair := range [][2]string{
-		{"get", "hit"}, {"get", "miss"}, {"get", "not_modified"},
+		{"get", "hit"}, {"get", "miss"},
 		{"put", "stored"}, {"put", "error"}, {"any", "bad_request"},
 	} {
 		s.requests.With(pair[0], pair[1])
@@ -164,15 +149,7 @@ func (s *StoreServer) handleGet(w http.ResponseWriter, r *http.Request, key stri
 		http.Error(w, "no result for key", http.StatusNotFound)
 		return
 	}
-	etag := etagFor(raw)
-	w.Header().Set("ETag", etag)
-	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatches(inm, etag) {
-		s.requests.With("get", "not_modified").Inc()
-		span.SetAttr("outcome", "not_modified")
-		span.End(nil)
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
+	w.Header().Set("ETag", etagFor(raw))
 	s.requests.With("get", "hit").Inc()
 	s.bytes.With("served").Add(uint64(len(raw)))
 	span.SetAttr("outcome", "hit")

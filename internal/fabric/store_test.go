@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -57,31 +56,6 @@ func TestStoreServerGetPutETag(t *testing.T) {
 		t.Fatalf("GET ETag = %q, want %q", resp.Header.Get("ETag"), etag)
 	}
 
-	// Conditional GET with the current ETag is a 304 without a body.
-	req, _ = http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set("If-None-Match", etag)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotModified || len(got) != 0 {
-		t.Fatalf("conditional GET = %d with %d body bytes, want 304 empty", resp.StatusCode, len(got))
-	}
-
-	// A stale validator still gets the full body.
-	req, _ = http.NewRequest(http.MethodGet, url, nil)
-	req.Header.Set("If-None-Match", `"0000"`)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, body) {
-		t.Fatalf("stale conditional GET = %d %q, want 200 body", resp.StatusCode, got)
-	}
 }
 
 func TestStoreServerRejectsBadRequests(t *testing.T) {
@@ -143,9 +117,7 @@ func TestStoreClientReadThrough(t *testing.T) {
 	if !ok || !bytes.Equal(got, want) {
 		t.Fatalf("Get after server death = %q, %v; want local copy", got, ok)
 	}
-	c.mu.Lock()
 	localHits, remoteHits := c.outcomes.With("local_hit").Value(), c.outcomes.With("remote_hit").Value()
-	c.mu.Unlock()
 	if localHits != 1 || remoteHits != 1 {
 		t.Fatalf("hit counters local=%d remote=%d, want 1 and 1", localHits, remoteHits)
 	}
@@ -179,93 +151,5 @@ func TestStoreClientOfflineDegradesToLocal(t *testing.T) {
 	}
 	if got, ok := c.Get(context.Background(), key); !ok || !bytes.Equal(got, raw) {
 		t.Fatalf("local Get after offline Put = %q, %v", got, ok)
-	}
-}
-
-func TestStoreClientMarkKnownRevalidates(t *testing.T) {
-	remote := NewMemStore()
-	srv := storeTestServer(remote)
-	defer srv.Close()
-	local := NewMemStore()
-	c := NewStoreClient(srv.URL, local, nil)
-
-	same := json.RawMessage(`{"x":1}`)
-	if err := remote.Put(context.Background(), "same", same); err != nil {
-		t.Fatal(err)
-	}
-	if err := local.Put(context.Background(), "same", same); err != nil {
-		t.Fatal(err)
-	}
-	drifted := json.RawMessage(`{"x":2}`)
-	if err := remote.Put(context.Background(), "drift", drifted); err != nil {
-		t.Fatal(err)
-	}
-	if err := local.Put(context.Background(), "drift", json.RawMessage(`{"x":1}`)); err != nil {
-		t.Fatal(err)
-	}
-
-	c.MarkKnown(context.Background(), []string{"same", "drift", "absent"})
-	c.mu.Lock()
-	revalidated, refreshed := c.outcomes.With("revalidated").Value(), c.outcomes.With("refreshed").Value()
-	c.mu.Unlock()
-	if revalidated != 1 {
-		t.Errorf("revalidated = %d, want 1 (matching copy costs only headers)", revalidated)
-	}
-	if refreshed != 1 {
-		t.Errorf("refreshed = %d, want 1 (drifted copy adopts store bytes)", refreshed)
-	}
-	if got, _ := local.Get(context.Background(), "drift"); !bytes.Equal(got, drifted) {
-		t.Errorf("local drift copy = %q, want store's %q", got, drifted)
-	}
-	if got, ok := local.Get(context.Background(), "absent"); ok {
-		t.Errorf("MarkKnown prefetched %q; gossip should stay lazy", got)
-	}
-	if c.KnownKeys() != 3 {
-		t.Errorf("KnownKeys = %d, want 3", c.KnownKeys())
-	}
-	// Re-gossip of known keys is a no-op (no second revalidation).
-	c.MarkKnown(context.Background(), []string{"same"})
-	c.mu.Lock()
-	if c.outcomes.With("revalidated").Value() != revalidated {
-		t.Errorf("re-gossip revalidated again (%d)", c.outcomes.With("revalidated").Value())
-	}
-	c.mu.Unlock()
-}
-
-// TestStoreClientMarkKnownHonorsContext is the regression test for the
-// ctxprop fix: MarkKnown used to mint context.Background() internally,
-// so a worker shutting down mid-heartbeat could hang on revalidation
-// fetches nothing would ever cancel. The heartbeat's context now bounds
-// them: a cancelled ctx reaches the store client, the fetch aborts, and
-// the keys are still recorded for lazy access.
-func TestStoreClientMarkKnownHonorsContext(t *testing.T) {
-	remote := NewMemStore()
-	var hits int32
-	mux := http.NewServeMux()
-	mux.HandleFunc("/fabric/v1/store", func(w http.ResponseWriter, r *http.Request) {
-		atomic.AddInt32(&hits, 1)
-		NewStoreServer(remote).ServeHTTP(w, r)
-	})
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	local := NewMemStore()
-	if err := local.Put(context.Background(), "held", json.RawMessage(`{"x":1}`)); err != nil {
-		t.Fatal(err)
-	}
-	c := NewStoreClient(srv.URL, local, nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	c.MarkKnown(ctx, []string{"held"})
-
-	if got := atomic.LoadInt32(&hits); got != 0 {
-		t.Errorf("cancelled MarkKnown still reached the store (%d request(s))", got)
-	}
-	if c.outcomes.With("net_error").Value() != 1 {
-		t.Errorf("net_error = %d, want 1 (aborted revalidation)", c.outcomes.With("net_error").Value())
-	}
-	if c.KnownKeys() != 1 {
-		t.Error("cancelled MarkKnown dropped the gossiped key; recording must not depend on the fetch")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync"
 
 	"smthill/internal/obs"
 	"smthill/internal/sweep"
@@ -33,9 +32,6 @@ type StoreClient struct {
 	local sweep.Backend
 	hc    *http.Client
 
-	mu    sync.Mutex
-	known map[string]bool // guarded by mu; keys gossip says the store holds
-
 	reg      *obs.Registry
 	outcomes *obs.CounterVec // outcome
 }
@@ -54,20 +50,15 @@ func NewStoreClient(baseURL string, local sweep.Backend, hc *http.Client) *Store
 		base:  baseURL + "/fabric/v1/store",
 		local: local,
 		hc:    hc,
-		known: map[string]bool{},
 		reg:   reg,
 		outcomes: reg.CounterVec("smtserved_fabric_store_client_total",
 			"store client operations by outcome", "outcome"),
 	}
 	for _, o := range []string{
-		"local_hit", "remote_hit", "miss", "put", "put_error",
-		"revalidated", "refreshed", "net_error",
+		"local_hit", "remote_hit", "miss", "put", "put_error", "net_error",
 	} {
 		c.outcomes.With(o)
 	}
-	reg.GaugeFunc("smtserved_fabric_store_known_keys",
-		"distinct keys gossip or local puts say the store holds",
-		func() float64 { return float64(c.KnownKeys()) })
 	return c
 }
 
@@ -88,7 +79,7 @@ func (c *StoreClient) Get(ctx context.Context, key string) (json.RawMessage, boo
 			return raw, true
 		}
 	}
-	raw, ok := c.fetch(ctx, key, "")
+	raw, ok := c.fetch(ctx, key)
 	if !ok {
 		return nil, false
 	}
@@ -99,10 +90,9 @@ func (c *StoreClient) Get(ctx context.Context, key string) (json.RawMessage, boo
 	return raw, true
 }
 
-// fetch GETs one key, optionally conditionally. ok=false covers miss
-// and network failure alike (each counted); a 304 returns ok=false with
-// notModified=true.
-func (c *StoreClient) fetch(ctx context.Context, key, ifNoneMatch string) (raw json.RawMessage, ok bool) {
+// fetch GETs one key. ok=false covers miss and network failure alike
+// (each counted).
+func (c *StoreClient) fetch(ctx context.Context, key string) (raw json.RawMessage, ok bool) {
 	ctx, span := obs.Start(ctx, "store.get", obs.KindClient)
 	span.SetAttr("key", key)
 	outcome := func(o string, err error) {
@@ -116,9 +106,6 @@ func (c *StoreClient) fetch(ctx context.Context, key, ifNoneMatch string) (raw j
 		return nil, false
 	}
 	obs.Inject(ctx, req.Header)
-	if ifNoneMatch != "" {
-		req.Header.Set("If-None-Match", ifNoneMatch)
-	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
 		c.outcomes.With("net_error").Inc()
@@ -136,10 +123,6 @@ func (c *StoreClient) fetch(ctx context.Context, key, ifNoneMatch string) (raw j
 		}
 		outcome("remote_hit", nil)
 		return raw, true
-	case http.StatusNotModified:
-		c.outcomes.With("revalidated").Inc()
-		outcome("revalidated", nil)
-		return nil, false
 	case http.StatusNotFound:
 		c.outcomes.With("miss").Inc()
 		outcome("miss", nil)
@@ -153,8 +136,7 @@ func (c *StoreClient) fetch(ctx context.Context, key, ifNoneMatch string) (raw j
 
 // Put implements sweep.Backend: the local write always happens; the
 // remote write is best-effort (the engine treats Put errors as
-// non-fatal, and the gossip log means a missed upload only costs a
-// recompute elsewhere).
+// non-fatal, and a missed upload only costs a recompute elsewhere).
 func (c *StoreClient) Put(ctx context.Context, key string, raw json.RawMessage) error {
 	if c.local != nil {
 		_ = c.local.Put(ctx, key, raw)
@@ -186,50 +168,7 @@ func (c *StoreClient) putRemote(ctx context.Context, key string, raw json.RawMes
 		return fmt.Errorf("fabric: store put %s: HTTP %d", key, resp.StatusCode)
 	}
 	c.outcomes.With("put").Inc()
-	c.mu.Lock()
-	c.known[key] = true
-	c.mu.Unlock()
 	return nil
-}
-
-// MarkKnown records gossiped keys (results some node has stored). Keys
-// already held locally are revalidated with a conditional fetch — the
-// ETag is the content hash, so the client recomputes it from its local
-// copy and a match costs only headers. Keys not held locally are just
-// remembered; they fetch lazily if the engine ever asks.
-//
-// ctx bounds the revalidation fetches: it is the heartbeat's context,
-// so a worker shutting down mid-gossip abandons the network work
-// instead of hanging on it (the keys are still recorded).
-func (c *StoreClient) MarkKnown(ctx context.Context, keys []string) {
-	for _, key := range keys {
-		c.mu.Lock()
-		seen := c.known[key]
-		c.known[key] = true
-		c.mu.Unlock()
-		if seen || c.local == nil {
-			continue
-		}
-		local, ok := c.local.Get(ctx, key)
-		if !ok {
-			continue
-		}
-		if raw, ok := c.fetch(ctx, key, etagFor(local)); ok {
-			// The store holds different bytes than we do. Determinism
-			// makes this near-impossible for a same-version cluster, but
-			// the store is authoritative: adopt its copy.
-			_ = c.local.Put(ctx, key, raw)
-			c.outcomes.With("refreshed").Inc()
-		}
-	}
-}
-
-// KnownKeys returns how many distinct keys gossip (or our own puts)
-// says the store holds.
-func (c *StoreClient) KnownKeys() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.known)
 }
 
 // WriteMetrics renders the client's counters in exposition format. The

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -16,10 +15,6 @@ import (
 	"smthill/internal/simjob"
 	"smthill/internal/sweep"
 )
-
-// recentKeysCap bounds the computed-keys buffer between heartbeats; a
-// worker churning faster than it can gossip drops the oldest hints.
-const recentKeysCap = 1024
 
 // WorkerConfig parameterises a Worker.
 type WorkerConfig struct {
@@ -59,7 +54,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 }
 
 // Worker is a fabric execution node: it registers with the coordinator,
-// heartbeats liveness plus memo-gossip, and serves /fabric/v1/exec by
+// heartbeats liveness and queue depth, and serves /fabric/v1/exec by
 // rebuilding jobs from their keys on its local engine. Simulation specs
 // resolve through simjob.SpecFromKey, experiment families through
 // experiment.ExecKeyOn; a key neither recognises is refused (the
@@ -67,29 +62,22 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 type Worker struct {
 	cfg     WorkerConfig
 	eng     *sweep.Engine
-	store   *StoreClient // may be nil (no shared store)
 	handler http.Handler
 
 	inflight atomic.Int64
-	lastSeq  atomic.Uint64
 
 	reg     *obs.Registry
 	execVec *obs.CounterVec // outcome
 	hbVec   *obs.CounterVec // outcome
-
-	recentMu sync.Mutex
-	recent   []string // guarded by recentMu
 }
 
-// NewWorker builds a worker around an engine. Like the engine's other
-// configuration hooks it must be called before the engine's first Run —
-// it installs an observer that collects computed keys for gossip. store
-// may be nil; when set, it should also be the engine's backend so
-// remote results read through it.
+// NewWorker builds a worker around an engine. store may be nil; when
+// set, it should also be the engine's backend so remote results read
+// through it, and its metrics join the worker's registry.
 func NewWorker(cfg WorkerConfig, eng *sweep.Engine, store *StoreClient) *Worker {
 	reg := obs.NewRegistry()
 	w := &Worker{
-		cfg: cfg.withDefaults(), eng: eng, store: store,
+		cfg: cfg.withDefaults(), eng: eng,
 		reg: reg,
 		execVec: reg.CounterVec("smtserved_fabric_exec_served_total",
 			"exec requests by outcome", "outcome"),
@@ -107,11 +95,6 @@ func NewWorker(cfg WorkerConfig, eng *sweep.Engine, store *StoreClient) *Worker 
 	if store != nil {
 		reg.Attach(store.Registry())
 	}
-	eng.AddObserver(func(ev sweep.Event) {
-		if ev.Kind == sweep.JobDone && ev.Source == sweep.FromRun {
-			w.noteRecent(ev.Key)
-		}
-	})
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /fabric/v1/exec", w.handleExec)
 	// A worker's own exposition endpoint: this is what the coordinator's
@@ -124,38 +107,6 @@ func NewWorker(cfg WorkerConfig, eng *sweep.Engine, store *StoreClient) *Worker 
 	})
 	w.handler = mux
 	return w
-}
-
-func (w *Worker) noteRecent(key string) {
-	w.recentMu.Lock()
-	w.recent = append(w.recent, key)
-	if len(w.recent) > recentKeysCap {
-		w.recent = w.recent[len(w.recent)-recentKeysCap:]
-	}
-	w.recentMu.Unlock()
-}
-
-// drainRecent takes the gossip batch for one heartbeat.
-func (w *Worker) drainRecent() []string {
-	w.recentMu.Lock()
-	defer w.recentMu.Unlock()
-	out := w.recent
-	w.recent = nil
-	return out
-}
-
-// requeueRecent puts an unsent gossip batch back (heartbeat failed) so
-// the hints survive a flaky beat.
-func (w *Worker) requeueRecent(keys []string) {
-	if len(keys) == 0 {
-		return
-	}
-	w.recentMu.Lock()
-	w.recent = append(keys, w.recent...)
-	if len(w.recent) > recentKeysCap {
-		w.recent = w.recent[:recentKeysCap]
-	}
-	w.recentMu.Unlock()
 }
 
 // Handler returns the worker's HTTP surface (exec, metrics).
@@ -215,11 +166,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		if parent.Valid() && parent.Sampled {
 			spans = w.cfg.Tracer.CollectTrace(parent.Trace)
 		}
-		writeProtoJSON(rw, ExecResponse{
-			Version: ProtocolVersion, Key: req.Key, Result: raw,
-			QueueDepth: int(w.inflight.Load()) - 1, // exclude this request
-			Spans:      spans,
-		})
+		writeProtoJSON(rw, ExecResponse{Version: ProtocolVersion, Key: req.Key, Result: raw, Spans: spans})
 	}
 }
 
@@ -300,25 +247,18 @@ func (w *Worker) Register(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	if err := checkProtoVersion(resp.Version); err != nil {
-		return err
-	}
-	w.lastSeq.Store(resp.StoreSeq)
-	return nil
+	return checkProtoVersion(resp.Version)
 }
 
-// Heartbeat performs one beat: liveness + queue depth + gossip up,
-// store news down.
+// Heartbeat performs one beat: liveness and queue depth.
 func (w *Worker) Heartbeat(ctx context.Context) error {
-	recent := w.drainRecent()
 	hb := Heartbeat{
 		Version: ProtocolVersion, ID: w.cfg.ID, Addr: w.cfg.AdvertiseURL,
-		QueueDepth: int(w.inflight.Load()), Seq: w.lastSeq.Load(), RecentKeys: recent,
+		QueueDepth: int(w.inflight.Load()),
 	}
 	var resp HeartbeatResponse
 	if err := w.post(ctx, "/fabric/v1/heartbeat", hb, &resp); err != nil {
 		w.hbVec.With("error").Inc()
-		w.requeueRecent(recent)
 		return err
 	}
 	if err := checkProtoVersion(resp.Version); err != nil {
@@ -326,10 +266,6 @@ func (w *Worker) Heartbeat(ctx context.Context) error {
 		return err
 	}
 	w.hbVec.With("ok").Inc()
-	w.lastSeq.Store(resp.StoreSeq)
-	if w.store != nil && len(resp.NewKeys) > 0 {
-		w.store.MarkKnown(ctx, resp.NewKeys)
-	}
 	return nil
 }
 
@@ -358,16 +294,12 @@ func (w *Worker) post(ctx context.Context, path string, body, out any) error {
 
 // Health returns the worker's /healthz contribution.
 func (w *Worker) Health() map[string]any {
-	h := map[string]any{
+	return map[string]any{
 		"fabric_role":          "worker",
 		"fabric_coordinator":   w.cfg.CoordinatorURL,
 		"fabric_exec_inflight": w.inflight.Load(),
 		"fabric_heartbeats_ok": w.hbVec.With("ok").Value(),
 	}
-	if w.store != nil {
-		h["fabric_store_known_keys"] = w.store.KnownKeys()
-	}
-	return h
 }
 
 // WriteMetrics renders the worker's counters (plus its store client's,

@@ -20,7 +20,7 @@ func TestMulticoreSpecValidation(t *testing.T) {
 		{"negative cores", Spec{Workload: "art-mcf", Tech: "ICOUNT", Cores: -1}, "cores"},
 		{"too many cores", Spec{Workload: "art-mcf", Tech: "ICOUNT", Cores: MaxCores + 1}, "cores"},
 		{"thread count mismatch", Spec{Workload: "art-mcf", Tech: "ICOUNT", Cores: 2}, "applications"},
-		{"unknown pairing", Spec{Workload: "art,mcf,fma3d,gcc", Cores: 2, Pairing: "affinity"}, "pairing"},
+		{"unknown pairing", Spec{Workload: "art,mcf,fma3d,gcc", Cores: 2, Pairing: "sticky"}, "pairing"},
 		{"pairing without cores", Spec{Workload: "art-mcf", Tech: "ICOUNT", Pairing: "random"}, "cores > 1"},
 		{"phase tech on multicore", Spec{Workload: "art,mcf,fma3d,gcc", Tech: "HILL-PHASE", Cores: 2}, "single-core"},
 	}
