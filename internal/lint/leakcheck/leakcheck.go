@@ -1,9 +1,9 @@
 // Package leakcheck fails test binaries that leave project goroutines
-// running after the suite finishes. It is the dynamic complement to the
-// static goleak lint rule: the rule catches goroutines with no exit
-// path at all, this package catches goroutines whose exit path exists
-// but was never taken (a Close that forgot to signal, a ctx that was
-// never cancelled).
+// running after the suite finishes. It catches a goroutine with no exit
+// path at all (a loop with no ctx or done-channel case) as well as one
+// whose exit path exists but was never taken (a Close that forgot to
+// signal, a ctx that was never cancelled), provided the suite reaches
+// the `go` statement that starts it.
 //
 // Wire it into a package's tests with:
 //

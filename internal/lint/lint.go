@@ -29,10 +29,6 @@
 //     justification — the steady-state zero-allocation contract of the
 //     cycle path, enforced statically alongside the AllocsPerRun
 //     regression test.
-//   - metricname (metricname.go): literal metric names registered on an
-//     obs.Registry must match the Prometheus charset and be unique per
-//     package — registration panics otherwise, but only when the
-//     registering component actually starts.
 //
 // The concurrency-correctness suite extends the determinism rules to the
 // service layers (serve worker pools, fabric heartbeats, obs federation),
@@ -51,9 +47,11 @@
 //     point in serve/fabric/sweep must not drop the caller's context —
 //     no context.Background()/TODO(), bare time.Sleep, or context-free
 //     HTTP requests on request paths.
-//   - goleak (goleak.go): a `go` statement whose body loops forever must
-//     have an exit tied to a context or done channel; the lint/leakcheck
-//     test helper enforces the same contract dynamically.
+//
+// Goroutine leaks and bad metric names have no rule: a runtime gate
+// fails `go test` at every site instead. lint/leakcheck wraps the test
+// binaries of the service packages, and obs.Registry panics on an
+// invalid or colliding name at registration and at Attach.
 //
 // Rules are individually constructable and configurable so tests can
 // point them at fixture packages; DefaultRules returns the project
@@ -120,11 +118,9 @@ func DefaultRules() []Rule {
 		NewRecorderGuardRule(),
 		NewFloatCompareRule(),
 		NewHotAllocRule(),
-		NewMetricNameRule(),
 		NewLockGuardRule(),
 		NewLockOrderRule(),
 		NewCtxPropRule(),
-		NewGoLeakRule(),
 	}
 }
 

@@ -217,47 +217,6 @@ func TestHotAllocRuleRespectsPackageSelection(t *testing.T) {
 	}
 }
 
-func metricNameRule(path string) *MetricNameRule {
-	return &MetricNameRule{
-		RegistryTypes: []string{"smthill/internal/lint/testdata/src/" + path + ".Registry"},
-	}
-}
-
-func TestMetricNameRuleFires(t *testing.T) {
-	p := fixture(t, "metricnamebad")
-	got := metricNameRule("metricnamebad").Check(p)
-	wantFindings(t, got, []struct {
-		line int
-		sub  string
-	}{
-		{23, `"jobs-submitted"`},
-		{24, `"9queue_depth"`},
-		{25, `"status-code"`},
-		{27, "collides"},
-		{28, `"latency ms"`},
-	})
-	// The collision finding points back at the first registration.
-	if !strings.Contains(got[3].Msg, "metricnamebad.go:26") {
-		t.Errorf("collision msg %q does not cite the first registration site", got[3].Msg)
-	}
-}
-
-func TestMetricNameRuleSilentOnFixedForm(t *testing.T) {
-	p := fixture(t, "metricnameok")
-	if got := metricNameRule("metricnameok").Check(p); len(got) != 0 {
-		t.Fatalf("unexpected findings on fixed form: %v", got)
-	}
-}
-
-func TestMetricNameRuleRespectsPackageSelection(t *testing.T) {
-	p := fixture(t, "metricnamebad")
-	r := metricNameRule("metricnamebad")
-	r.Packages = []string{"internal/serve"}
-	if got := r.Check(p); len(got) != 0 {
-		t.Fatalf("rule fired outside its package selection: %v", got)
-	}
-}
-
 func TestIgnoreDirectives(t *testing.T) {
 	p := fixture(t, "ignored")
 	got := Run([]Rule{&NondetRule{}}, []*Package{p})

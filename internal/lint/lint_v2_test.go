@@ -106,36 +106,6 @@ func TestCtxPropRuleRespectsPackageSelection(t *testing.T) {
 	}
 }
 
-func goLeakRule(path string) *GoLeakRule {
-	return &GoLeakRule{Packages: []string{"testdata/src/" + path}}
-}
-
-func TestGoLeakRuleFires(t *testing.T) {
-	p := fixture(t, "goleakbad")
-	got := Run([]Rule{goLeakRule("goleakbad")}, []*Package{p})
-	wantFindings(t, got, []struct {
-		line int
-		sub  string
-	}{
-		{8, "loops forever"},
-		{16, "loops forever"},
-	})
-}
-
-func TestGoLeakRuleSilentOnFixedForm(t *testing.T) {
-	p := fixture(t, "goleakok")
-	if got := goLeakRule("goleakok").Check(p); len(got) != 0 {
-		t.Fatalf("unexpected findings on fixed form: %v", got)
-	}
-}
-
-func TestGoLeakRuleRespectsPackageSelection(t *testing.T) {
-	p := fixture(t, "goleakbad")
-	if got := NewGoLeakRule().Check(p); len(got) != 0 {
-		t.Fatalf("rule fired outside its package selection: %v", got)
-	}
-}
-
 // TestRunAuditFlagsStaleIgnores: a directive naming the wrong rule (and
 // therefore suppressing nothing) is itself a finding, while the directive
 // that suppresses something is not.

@@ -157,7 +157,7 @@ func ParseExposition(r io.Reader) ([]FedSeries, error) {
 			}
 			name, labels = ident[:i], ident[i+1:len(ident)-1]
 		}
-		if !ValidMetricName(name) {
+		if !validName(name) {
 			continue
 		}
 		out = append(out, FedSeries{Name: name, Labels: labels, Value: val})

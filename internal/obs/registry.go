@@ -21,8 +21,10 @@ import (
 // combined /metrics.
 //
 // Registration is configuration-time programmer API: an invalid name,
-// an invalid label, or a name collision panics (and the smtlint
-// `metricname` rule flags both statically).
+// an invalid label, or a name already registered in the same registry
+// panics, and Attach panics on a name collision across registries.
+// Tests reach every registration in serve and fabric, so a bad name
+// fails `go test` rather than a running daemon.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*metricFamily // guarded by mu
@@ -143,9 +145,9 @@ func (f *metricFamily) with(values []string) *metricSeries {
 	return s
 }
 
-// ValidMetricName reports whether s matches the Prometheus metric-name
+// validName reports whether s matches the Prometheus metric-name
 // charset [a-zA-Z_:][a-zA-Z0-9_:]*.
-func ValidMetricName(s string) bool {
+func validName(s string) bool {
 	if s == "" {
 		return false
 	}
@@ -161,9 +163,9 @@ func ValidMetricName(s string) bool {
 	return true
 }
 
-// ValidLabelName reports whether s matches the Prometheus label-name
+// validLabel reports whether s matches the Prometheus label-name
 // charset [a-zA-Z_][a-zA-Z0-9_]*.
-func ValidLabelName(s string) bool {
+func validLabel(s string) bool {
 	if s == "" {
 		return false
 	}
@@ -180,11 +182,11 @@ func ValidLabelName(s string) bool {
 }
 
 func (r *Registry) register(name, help string, kind metricKind, labels []string) *metricFamily {
-	if !ValidMetricName(name) {
+	if !validName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
 	for _, l := range labels {
-		if !ValidLabelName(l) {
+		if !validLabel(l) {
 			panic(fmt.Sprintf("obs: metric %s has invalid label name %q", name, l))
 		}
 	}
@@ -243,12 +245,23 @@ func (r *Registry) HistVec(name, help string, labels ...string) *HistVec {
 }
 
 // Attach adds sub's families to r's rendered exposition. The
-// sub-registry keeps its own identity (and can render alone); name
-// collisions across attached registries are the caller's
-// responsibility.
+// sub-registry keeps its own identity (and can render alone). Attach
+// panics when a family name in sub (or its subs) is already present in
+// r (or its subs). The check sees only the families registered so far,
+// so attach a sub-registry once its owner has finished registering —
+// every constructor in this repo does.
 func (r *Registry) Attach(sub *Registry) {
 	if sub == nil || sub == r {
 		return
+	}
+	have := map[string]bool{}
+	for _, f := range r.collect() {
+		have[f.name] = true
+	}
+	for _, f := range sub.collect() {
+		if have[f.name] {
+			panic(fmt.Sprintf("obs: attached metric %s is already registered", f.name))
+		}
 	}
 	r.mu.Lock()
 	r.subs = append(r.subs, sub)

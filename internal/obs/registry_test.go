@@ -20,6 +20,7 @@ func TestRegistryValidationPanics(t *testing.T) {
 	mustPanic(t, "invalid metric name", func() { r.Counter("has-dash", "") })
 	mustPanic(t, "leading digit", func() { r.Counter("9lives", "") })
 	mustPanic(t, "empty name", func() { r.Counter("", "") })
+	mustPanic(t, "space in name", func() { r.HistVec("latency ms", "", "route") })
 	mustPanic(t, "invalid label", func() { r.CounterVec("ok_name", "", "bad-label") })
 	r.Counter("dup_total", "")
 	mustPanic(t, "duplicate registration", func() { r.Gauge("dup_total", "") })
@@ -101,6 +102,32 @@ func TestRegistryAttachMergesSorted(t *testing.T) {
 	sub.Write(&sb)
 	if sb.String() != "aa_sub_total 2\n" {
 		t.Errorf("sub-registry alone rendered:\n%s", sb.String())
+	}
+}
+
+func TestRegistryAttachRejectsCollision(t *testing.T) {
+	// The same name in two sibling subs.
+	parent := NewRegistry()
+	a, b := NewRegistry(), NewRegistry()
+	a.Counter("jobs_total", "")
+	b.Gauge("jobs_total", "")
+	parent.Attach(a)
+	mustPanic(t, "sibling collision", func() { parent.Attach(b) })
+
+	// The same name in the parent and a sub, found through the sub's
+	// own sub.
+	parent = NewRegistry()
+	parent.Counter("depth", "")
+	sub, leaf := NewRegistry(), NewRegistry()
+	leaf.Gauge("depth", "")
+	sub.Attach(leaf)
+	mustPanic(t, "parent/sub collision", func() { parent.Attach(sub) })
+
+	// A rejected sub is not attached: the parent renders only its own.
+	var out strings.Builder
+	parent.Write(&out)
+	if out.String() != "depth 0\n" {
+		t.Errorf("exposition after a rejected Attach:\n%s", out.String())
 	}
 }
 

@@ -3,27 +3,31 @@ package serve_test
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"strings"
 	"testing"
 
 	"smthill/internal/fabric"
+	"smthill/internal/obs"
 	"smthill/internal/serve"
 )
 
 // TestFabricWiring checks the serve-side fabric plumbing that
 // cmd/smtserved's coordinator role uses: the coordinator's store backs
-// the engine, its counters extend /metrics in scrape format, and its
-// peer state extends /healthz — all without disturbing the base series.
+// the engine, its registry is attached to the node registry so its
+// series share one /metrics exposition (and pass Attach's collision
+// check against the server's own), and its peer state extends /healthz
+// — all without disturbing the base series.
 func TestFabricWiring(t *testing.T) {
 	coord := fabric.NewCoordinator(fabric.CoordinatorConfig{Logf: t.Logf})
+	reg := obs.NewRegistry()
+	reg.Attach(coord.Registry())
 	_, ts := newTestServer(t, serve.Config{
-		Workers:      2,
-		Backend:      coord.Backend(),
-		Remote:       coord,
-		ExtraMetrics: []func(io.Writer){coord.WriteMetrics},
-		ExtraHealth:  coord.Health,
+		Workers:     2,
+		Backend:     coord.Backend(),
+		Remote:      coord,
+		Registry:    reg,
+		ExtraHealth: coord.Health,
 	})
 
 	// An empty fabric declines every job: the sim must still complete
@@ -39,7 +43,7 @@ func TestFabricWiring(t *testing.T) {
 		// Base series stay intact, including the new remote carve-out.
 		"smtserved_sweep_jobs_total 1",
 		"smtserved_sweep_remote_total 0",
-		// The fabric section follows in the same exposition.
+		// The coordinator's series render in the same exposition.
 		`smtserved_fabric_peers{state="alive"} 0`,
 		"smtserved_fabric_local_fallback_total 1",
 		`smtserved_fabric_dispatch_total{kind="owner"} 0`,

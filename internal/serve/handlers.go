@@ -126,7 +126,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		kind:  kindSim,
 		spec:  spec,
 		key:   spec.Key(),
-		hub:   newHub(s.cfg.EventBuffer),
+		hub:   newHub(eventBuffer),
 		done:  make(chan struct{}),
 		trace: obs.FromContext(r.Context()).Context(),
 	}
@@ -248,7 +248,7 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		expName: name,
 		expCfg:  cfg,
 		expOpts: opts,
-		hub:     newHub(s.cfg.EventBuffer),
+		hub:     newHub(eventBuffer),
 		done:    make(chan struct{}),
 		trace:   obs.FromContext(r.Context()).Context(),
 	}
@@ -335,13 +335,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics renders the text exposition: the registry (the
-// server's own series plus anything attached via Config.Registry),
-// then any ExtraMetrics sections verbatim.
+// server's own series plus anything attached via Config.Registry).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	s.expose.Write(w)
-	for _, write := range s.cfg.ExtraMetrics {
-		write(w)
-	}
 }

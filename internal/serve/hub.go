@@ -28,12 +28,12 @@ type hub struct {
 	closed  bool            // guarded by mu
 }
 
-// newHub returns a hub retaining at most max events (<=0 selects a
-// default sized for a full laptop-scale run's epoch stream).
+// eventBuffer caps each job's SSE replay buffer, sized for a full
+// laptop-scale run's epoch stream.
+const eventBuffer = 8192
+
+// newHub returns a hub retaining at most max events.
 func newHub(max int) *hub {
-	if max <= 0 {
-		max = 8192
-	}
 	return &hub{max: max}
 }
 

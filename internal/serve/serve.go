@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -82,12 +81,6 @@ type Config struct {
 	// before running locally, and any decline falls back to local
 	// compute.
 	Remote sweep.Remote
-	// ExtraMetrics appends additional sections to the /metrics
-	// exposition (e.g. fabric dispatch and store counters). Prefer
-	// Registry where possible: attached registries render as one
-	// sorted, validated exposition; ExtraMetrics output is appended
-	// verbatim.
-	ExtraMetrics []func(io.Writer)
 	// Registry, when set, is the node-wide metric registry: the
 	// server's own series are attached into it and /metrics renders it
 	// whole, so fabric components sharing the registry appear on the
@@ -101,8 +94,6 @@ type Config struct {
 	// ExtraHealth merges additional keys into the /healthz body (e.g.
 	// fabric role and peer liveness).
 	ExtraHealth func() map[string]any
-	// EventBuffer caps each job's SSE replay buffer (default 8192).
-	EventBuffer int
 	// RetainJobs caps how many finished jobs stay pollable; beyond it
 	// the oldest-finished are evicted, releasing their replay buffers
 	// (default 1024). Queued and running jobs are never evicted.
@@ -135,9 +126,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Burst <= 0 {
 		c.Burst = 100
-	}
-	if c.EventBuffer <= 0 {
-		c.EventBuffer = 8192
 	}
 	if c.RetainJobs <= 0 {
 		c.RetainJobs = 1024
