@@ -15,35 +15,68 @@ import (
 // once per trial.
 const DefaultTrialBatch = 8
 
-// trialBatch owns the pipeline.MachineBatch a searcher evaluates its
-// candidate partitionings on. It replaces the former machinePool: the
-// batch's members ARE the recycled trial machines (refilled in place via
-// the pooled CloneInto path), and one spare machine circulates through
-// Swap so promoting a wave's winner never leaves a hole.
+// Probe is the one way to evaluate trials: it runs candidates for a
+// fixed horizon each from a checkpoint, on a lazily built
+// pipeline.MachineBatch whose members are refilled in place, so sibling
+// trials share trace generation and decode. OFF-LINE, RAND-HILL,
+// Steepest and the figure oracles all probe through it.
+type Probe struct {
+	// K is the batch size, fixed at the first Run; DefaultTrialBatch
+	// when 0.
+	K int
+	b *pipeline.MachineBatch
+}
+
+// Run evaluates n candidates for cycles each from the checkpoint src, in
+// waves of K, and leaves src untouched. setup(i, m) configures the
+// member m that runs candidate i (shares, policy, recorder) before its
+// wave; read(i, m) reads it afterwards, in candidate order. A member is
+// refilled by the next wave, so read must copy out anything it keeps.
+func (p *Probe) Run(src *pipeline.Machine, n, cycles int, setup, read func(i int, m *pipeline.Machine)) {
+	if p.b == nil {
+		k := p.K
+		if k <= 0 {
+			k = DefaultTrialBatch
+		}
+		p.b = pipeline.BatchFrom(src, k)
+	}
+	for lo := 0; lo < n; lo += p.b.K() {
+		w := min(p.b.K(), n-lo)
+		p.b.RefillN(src, w)
+		for j := 0; j < w; j++ {
+			setup(lo+j, p.b.Member(j))
+		}
+		p.b.CycleFirstN(w, cycles)
+		for j := 0; j < w; j++ {
+			read(lo+j, p.b.Member(j))
+		}
+	}
+}
+
+// trialBatch is what a checkpoint searcher keeps across epochs: the
+// probe its candidates run on, and the machine each epoch's running
+// winner is copied into.
 type trialBatch struct {
-	b     *pipeline.MachineBatch
-	spare *pipeline.Machine
+	probe Probe
+	held  *pipeline.Machine
 }
 
 // startEpoch prepares the evaluation of one epoch's candidates from the
-// checkpoint src, lazily creating the batch on first use.
+// checkpoint src.
 func (tb *trialBatch) startEpoch(src *pipeline.Machine, epochSize int, base []uint64,
 	metric metrics.Kind, singles []float64, trace telemetry.Sink) *epochEval {
-	if tb.b == nil {
-		tb.b = pipeline.BatchFrom(src, DefaultTrialBatch)
-	}
 	return &epochEval{
 		tb: tb, src: src, epochSize: epochSize, base: base,
 		metric: metric, singles: singles, trace: trace,
 	}
 }
 
-// epochEval evaluates candidate partitionings of one epoch in lock-step
-// waves over the shared-decode batch, tracking the running winner with
-// exactly the serial loops' first-strictly-greater tie-break. Candidates
-// are always scored in submission order, so a batched epoch selects the
-// identical winner (and emits the identical Trials list) as the old
-// one-clone-at-a-time loop.
+// epochEval evaluates candidate partitionings of one epoch on the
+// trialBatch's probe, tracking the running winner with exactly the
+// serial loops' first-strictly-greater tie-break. Candidates are always
+// scored in submission order, so a batched epoch selects the identical
+// winner (and emits the identical Trials list) as a one-clone-at-a-time
+// loop.
 type epochEval struct {
 	tb        *trialBatch
 	src       *pipeline.Machine
@@ -54,7 +87,6 @@ type epochEval struct {
 	trace     telemetry.Sink
 
 	trials    []Trial
-	best      *pipeline.Machine
 	bestTrial Trial
 	one       oneShare
 }
@@ -74,59 +106,43 @@ func (e *epochEval) eval1(s resource.Shares) Trial {
 	return e.trials[len(e.trials)-1]
 }
 
-// evalWave runs every candidate for one epoch, at most a batch at a
-// time: members are refilled in place from the checkpoint, configured,
-// advanced together over the shared decoded stream, and scored in
-// order. The returned slice holds this wave's trials.
+// evalWave runs every candidate for one epoch and scores them in order.
+// A new leader is copied into the held machine, together with its
+// per-trial recorder, before the next wave refills its member. The
+// returned slice holds this wave's trials.
 func (e *epochEval) evalWave(cands []resource.Shares) []Trial {
 	start := len(e.trials)
-	b := e.tb.b
-	for lo := 0; lo < len(cands); lo += b.K() {
-		n := b.K()
-		if n > len(cands)-lo {
-			n = len(cands) - lo
-		}
-		b.RefillN(e.src, n)
-		for j := 0; j < n; j++ {
-			m := b.Member(j)
+	e.tb.probe.Run(e.src, len(cands), e.epochSize,
+		func(i int, m *pipeline.Machine) {
 			if e.trace != nil {
 				// Fresh per-trial recorder: the adopted winner's counters
 				// are exactly this epoch's stall attribution.
 				m.SetRecorder(telemetry.NewRecorder(m.Threads()))
 			}
-			m.Resources().SetShares(cands[lo+j])
-		}
-		b.CycleFirstN(n, e.epochSize)
-		for j := 0; j < n; j++ {
-			m := b.Member(j)
+			m.Resources().SetShares(cands[i])
+		},
+		func(i int, m *pipeline.Machine) {
 			_, ipc := measureEpoch(m, e.base, e.epochSize)
-			tr := Trial{Shares: cands[lo+j], Score: e.metric.Eval(ipc, e.singles), IPC: ipc}
+			tr := Trial{Shares: cands[i], Score: e.metric.Eval(ipc, e.singles), IPC: ipc}
 			e.trials = append(e.trials, tr)
-			if e.best == nil || tr.Score > e.bestTrial.Score {
-				// Promote member j to running winner; the dethroned
-				// leader (or the circulating spare) fills its slot and is
-				// overwritten by the next wave's refill.
-				repl := e.best
-				if repl == nil {
-					repl = e.tb.spare
-					e.tb.spare = nil
-				}
-				e.best = b.Swap(j, repl)
+			if len(e.trials) == 1 || tr.Score > e.bestTrial.Score {
+				e.tb.held = m.CloneInto(e.tb.held)
+				e.tb.held.SetRecorder(m.Recorder())
 				e.bestTrial = tr
 			}
-		}
-	}
+		})
 	return e.trials[start:]
 }
 
-// adopt ends the epoch: the winning trial's machine is handed to the
-// caller to advance along (the searcher must set it as its live
-// machine), and the dethroned live machine becomes the spare that keeps
-// the batch population closed.
+// adopt ends the epoch: the held copy of the winning trial is handed to
+// the caller to advance along (the searcher must set it as its live
+// machine), and the dethroned live machine becomes the held machine the
+// next epoch's winners are copied into.
 func (e *epochEval) adopt() (*pipeline.Machine, Trial, []Trial) {
-	if e.best == nil {
+	if len(e.trials) == 0 {
 		panic("core: epoch evaluated no trials")
 	}
-	e.tb.spare = e.src
-	return e.best, e.bestTrial, e.trials
+	best := e.tb.held
+	e.tb.held = e.src
+	return best, e.bestTrial, e.trials
 }

@@ -43,7 +43,7 @@ type Steepest struct {
 	threads int
 	total   int
 	anchor  resource.Shares
-	b       *pipeline.MachineBatch
+	probe   Probe
 	cands   []resource.Shares
 	base    []uint64
 }
@@ -61,6 +61,7 @@ func NewSteepest(threads, renameRegs int, metric metrics.Kind) *Steepest {
 		threads:     threads,
 		total:       renameRegs,
 		anchor:      resource.EqualShares(threads, renameRegs),
+		probe:       Probe{K: threads + 1},
 	}
 }
 
@@ -96,9 +97,6 @@ func (s *Steepest) Decide(prev *EpochResult) resource.Shares {
 	if s.M == nil {
 		panic("core: Steepest.Decide with no machine bound; set M to the runner's machine")
 	}
-	if s.b == nil {
-		s.b = pipeline.BatchFrom(s.M, s.threads+1)
-	}
 	probe := s.ProbeCycles
 	if probe <= 0 {
 		probe = DefaultEpochSize
@@ -107,7 +105,6 @@ func (s *Steepest) Decide(prev *EpochResult) resource.Shares {
 	for d := 0; d < s.threads; d++ {
 		s.cands = append(s.cands, s.anchor.Shift(d, s.Delta))
 	}
-	n := len(s.cands)
 
 	if s.base == nil {
 		s.base = make([]uint64, s.threads)
@@ -115,27 +112,24 @@ func (s *Steepest) Decide(prev *EpochResult) resource.Shares {
 	for th := range s.base {
 		s.base[th] = s.M.Committed(th)
 	}
-	s.b.RefillN(s.M, n)
-	for j := 0; j < n; j++ {
-		m := s.b.Member(j)
-		// Speculative probes must not pollute shared state: a multicore
-		// member's phantom execution is cut off from the real system's L3.
-		m.Mem().DetachL3()
-		m.Resources().SetShares(s.cands[j])
-	}
-	s.b.CycleFirstN(n, probe)
-
 	var singles []float64
 	if s.Singles != nil {
 		singles = s.Singles()
 	}
 	best, bestScore := 0, math.Inf(-1)
-	for j := 0; j < n; j++ {
-		_, ipc := measureEpoch(s.b.Member(j), s.base, probe)
-		if score := s.Metric.Eval(ipc, singles); score > bestScore {
-			best, bestScore = j, score
-		}
-	}
+	s.probe.Run(s.M, len(s.cands), probe,
+		func(j int, m *pipeline.Machine) {
+			// Speculative probes must not pollute shared state: a multicore
+			// member's phantom execution is cut off from the real system's L3.
+			m.Mem().DetachL3()
+			m.Resources().SetShares(s.cands[j])
+		},
+		func(j int, m *pipeline.Machine) {
+			_, ipc := measureEpoch(m, s.base, probe)
+			if score := s.Metric.Eval(ipc, singles); score > bestScore {
+				best, bestScore = j, score
+			}
+		})
 	s.anchor = s.cands[best]
 	return s.anchor
 }

@@ -51,23 +51,25 @@ func Figure12(cfg Config, w workload.Workload) []Figure12Row {
 
 	total := m.Resources().Sizes()[renameKind]
 	rows := make([]Figure12Row, 0, cfg.Epochs)
-	var scratch *pipeline.Machine // reused across probe trials via CloneInto
+	var cands []resource.Shares
+	core.EnumerateShares(w.Threads(), total, cfg.OffLineStride, func(s resource.Shares) {
+		cands = append(cands, s)
+	})
+	var p core.Probe
 	for e := 0; e < cfg.Epochs; e++ {
 		// Exhaustive search of this epoch from the hill-climber's state.
 		base := commitVector(m)
 		var curve []float64
 		bestShare, bestScore := 0, -1.0
-		core.EnumerateShares(w.Threads(), total, cfg.OffLineStride, func(s resource.Shares) {
-			scratch = m.CloneInto(scratch)
-			trial := scratch
-			trial.Resources().SetShares(s)
-			trial.CycleN(cfg.EpochSize)
-			score := metrics.WeightedIPC.Eval(ipcSince(trial, base, cfg.EpochSize), singles)
-			curve = append(curve, score)
-			if score > bestScore {
-				bestScore, bestShare = score, s[0]
-			}
-		})
+		p.Run(m, len(cands), cfg.EpochSize,
+			func(i int, trial *pipeline.Machine) { trial.Resources().SetShares(cands[i]) },
+			func(i int, trial *pipeline.Machine) {
+				score := metrics.WeightedIPC.Eval(ipcSince(trial, base, cfg.EpochSize), singles)
+				curve = append(curve, score)
+				if score > bestScore {
+					bestScore, bestShare = score, cands[i][0]
+				}
+			})
 		if bestScore > 0 {
 			for i := range curve {
 				curve[i] /= bestScore

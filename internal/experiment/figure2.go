@@ -33,16 +33,18 @@ func Figure2(cfg Config, stride int) []Figure2Point {
 	interval := 32 * 1024
 	var points []Figure2Point
 	total := m.Resources().Sizes()[resource.IntRename]
-	var scratch *pipeline.Machine // reused across trials via CloneInto
+	base := m.Stats().Committed
+	var cands []resource.Shares
 	core.EnumerateShares(3, total, stride, func(s resource.Shares) {
-		scratch = m.CloneInto(scratch)
-		trial := scratch
-		trial.Resources().SetShares(s)
-		base := trial.Stats().Committed
-		trial.CycleN(interval)
-		ipc := float64(trial.Stats().Committed-base) / float64(interval)
-		points = append(points, Figure2Point{Shares: s, IPC: ipc})
+		cands = append(cands, s)
 	})
+	var p core.Probe
+	p.Run(m, len(cands), interval,
+		func(i int, trial *pipeline.Machine) { trial.Resources().SetShares(cands[i]) },
+		func(i int, trial *pipeline.Machine) {
+			ipc := float64(trial.Stats().Committed-base) / float64(interval)
+			points = append(points, Figure2Point{Shares: cands[i], IPC: ipc})
+		})
 	return points
 }
 

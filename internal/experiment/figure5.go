@@ -30,20 +30,21 @@ func Figure5(cfg Config, w workload.Workload) []Figure5Row {
 	o.Stride = cfg.OffLineStride
 
 	rows := make([]Figure5Row, 0, cfg.Epochs)
-	var scratch *pipeline.Machine // reused across baseline trials via CloneInto
+	pols := baselineNames()
+	p := core.Probe{K: len(pols)}
 	for e := 0; e < cfg.Epochs; e++ {
 		scores := map[string]float64{}
 		// Baselines run the epoch from OFF-LINE's checkpoint.
-		for _, polName := range baselineNames() {
-			scratch = o.M.CloneInto(scratch)
-			trial := scratch
-			trial.SetPolicy(pipelinePolicy(polName))
-			trial.Resources().ClearPartitions()
-			base := commitVector(trial)
-			trial.CycleN(cfg.EpochSize)
-			ipc := ipcSince(trial, base, cfg.EpochSize)
-			scores[polName] = metrics.WeightedIPC.Eval(ipc, singles)
-		}
+		base := commitVector(o.M)
+		p.Run(o.M, len(pols), cfg.EpochSize,
+			func(i int, trial *pipeline.Machine) {
+				trial.SetPolicy(pipelinePolicy(pols[i]))
+				trial.Resources().ClearPartitions()
+			},
+			func(i int, trial *pipeline.Machine) {
+				ipc := ipcSince(trial, base, cfg.EpochSize)
+				scores[pols[i]] = metrics.WeightedIPC.Eval(ipc, singles)
+			})
 		res := o.RunEpoch()
 		scores["OFF-LINE"] = res.Score
 		rows = append(rows, Figure5Row{Epoch: e, Scores: scores})

@@ -111,7 +111,7 @@ func RunNamed(cfg Config, name string, opts RunOptions, w io.Writer) (err error)
 		if opts.JSONRows {
 			return writeCompareJSON(w, "fig9", rows)
 		}
-		fmt.Fprintln(w, "== Figure 9: HILL-WIPC vs ICOUNT/FLUSH/DCRA (42 workloads) ==")
+		fmt.Fprintf(w, "== Figure 9: HILL-WIPC vs ICOUNT/FLUSH/DCRA (%d workloads) ==\n", len(loads))
 		WriteCompare(w, rows)
 		for _, b := range []string{"ICOUNT", "FLUSH", "DCRA"} {
 			fmt.Fprintf(w, "HILL gain over %s: %+.1f%%\n", b, 100*Gains(rows, "HILL", b))

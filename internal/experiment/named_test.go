@@ -143,3 +143,17 @@ func TestRunNamedTable1(t *testing.T) {
 		t.Fatalf("table1 output:\n%s", buf.String())
 	}
 }
+
+// TestFig9HeaderCountsSubset: fig9's header reports the workloads the
+// run actually covered, not the full set's 42.
+func TestFig9HeaderCountsSubset(t *testing.T) {
+	cfg := tiny()
+	cfg.Epochs = 2
+	var buf bytes.Buffer
+	if err := RunNamed(cfg, "fig9", RunOptions{Workloads: "art-mcf,gzip-bzip2"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "(2 workloads)"; !strings.Contains(buf.String(), want) {
+		t.Fatalf("fig9 header lacks %q:\n%s", want, buf.String())
+	}
+}

@@ -34,7 +34,7 @@ type WorkerConfig struct {
 	// Logf receives operational log lines (nil = discard).
 	Logf func(format string, args ...any)
 	// Tracer, when set, records a server span per exec request (with
-	// engine and epoch child spans beneath it) and backhauls the spans
+	// engine child spans beneath it) and backhauls the spans
 	// of sampled cross-node traces in the exec response for the
 	// coordinator to adopt.
 	Tracer *obs.Tracer
@@ -184,9 +184,9 @@ func (w *Worker) execKey(ctx context.Context, key string) (json.RawMessage, bool
 		jobs := []sweep.Job[simjob.Result]{{
 			Key: key,
 			Run: func(ctx context.Context) (simjob.Result, error) {
-				// EpochSpans resolves the compute span into per-epoch
-				// slices; with tracing off it returns the nil sink as-is.
-				return simjob.Run(ctx, spec, obs.EpochSpans(ctx, nil))
+				// No sink: a worker's result is the stored simjob.Result,
+				// so no telemetry recorder is attached.
+				return simjob.Run(ctx, spec, nil)
 			},
 		}}
 		if _, err := sweep.Run(ctx, w.eng, jobs); err != nil {

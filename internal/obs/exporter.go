@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"context"
-	"strconv"
 	"time"
 
 	"smthill/internal/telemetry"
@@ -34,33 +32,4 @@ func SinkExporter(sink telemetry.Sink) func(SpanData) {
 		}
 		sink.Emit(ev)
 	}
-}
-
-// EpochSpans wraps a telemetry sink so that each learning-epoch event
-// flowing through it also records an epoch-boundary child span under
-// the span carried by ctx — the "worker compute" segment of a
-// distributed trace resolves into per-epoch slices. Non-epoch events
-// pass through untouched.
-//
-// With no span in ctx (tracing off, or an unsampled hop) the original
-// sink is returned as-is, so the simulator's emit path gains nothing.
-func EpochSpans(ctx context.Context, next telemetry.Sink) telemetry.Sink {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return next
-	}
-	return telemetry.SinkFunc(func(ev telemetry.Event) {
-		if ev.Type == telemetry.TypeEpoch && ev.Kind == telemetry.KindLearning {
-			_, s := Start(ctx, "epoch", KindInternal)
-			s.SetAttr("epoch", strconv.Itoa(ev.Epoch))
-			if ev.Run != "" {
-				s.SetAttr("run", ev.Run)
-			}
-			s.SetAttr("score", strconv.FormatFloat(ev.Score, 'g', -1, 64))
-			s.End(nil)
-		}
-		if next != nil {
-			next.Emit(ev)
-		}
-	})
 }

@@ -26,8 +26,8 @@
 //   - debug.go: the /debug/traces handler (JSON trace list + one-trace
 //     timeline).
 //   - exporter.go: the bridge back into internal/telemetry — spans as
-//     flat Events through any telemetry.Sink, and epoch-boundary child
-//     spans derived from the simulator's epoch event stream.
+//     flat Events through any telemetry.Sink. Per-epoch detail stays in
+//     the simulator's own epoch event stream; no span duplicates it.
 //
 // Overhead contract: a nil *Tracer and a nil *Span no-op on every
 // method, so tracing off costs one branch at each (job-level, never

@@ -31,15 +31,14 @@ const DefaultBatchChunk = 512
 
 // MachineBatch is K clones of a source machine advancing in lock-step
 // over a shared decoded instruction stream. Members are refilled in
-// place from a source checkpoint via the pooled CloneInto path, run
-// together through CycleAll/CycleAllN, and individually detached (Swap)
-// when a trial wins adoption.
+// place from a source checkpoint via the pooled CloneInto path and run
+// together through CycleAll/CycleAllN; a caller keeps a winning trial by
+// copying it out before the next refill.
 type MachineBatch struct {
 	src     *Machine
 	members []*Machine
 	// feeds holds one shared fan-out per hardware context seat.
 	feeds []*isa.Fanout
-	chunk int
 
 	// workers > 1 runs each lock-step chunk's members on persistent
 	// worker goroutines (multi-core hosts); 1 runs them serially.
@@ -65,7 +64,6 @@ func BatchFrom(src *Machine, k int) *MachineBatch {
 	b := &MachineBatch{
 		src:     src,
 		members: make([]*Machine, k),
-		chunk:   DefaultBatchChunk,
 		workers: 1,
 	}
 	b.adoptSource(src)
@@ -78,7 +76,7 @@ func BatchFrom(src *Machine, k int) *MachineBatch {
 // adoptSource re-derives the per-seat fan-outs from src's streams,
 // wrapping any stream that is not already a fan-out reader. Adopting a
 // machine whose readers already sit on this batch's fan-outs (the usual
-// trial-winner promotion) is a no-op beyond bookkeeping.
+// copied-out trial winner) is a no-op beyond bookkeeping.
 func (b *MachineBatch) adoptSource(src *Machine) {
 	b.src = src
 	if cap(b.feeds) < len(src.threads) {
@@ -104,17 +102,6 @@ func (b *MachineBatch) K() int { return len(b.members) }
 // policy) between Refill and CycleAllN, and read its statistics after.
 func (b *MachineBatch) Member(i int) *Machine { return b.members[i] }
 
-// Src returns the current refill checkpoint.
-func (b *MachineBatch) Src() *Machine { return b.src }
-
-// SetChunk overrides the lock-step granularity (DefaultBatchChunk).
-func (b *MachineBatch) SetChunk(n int) {
-	if n < 1 {
-		n = 1
-	}
-	b.chunk = n
-}
-
 // Refill overwrites every member with a fresh checkpoint of src via the
 // pooled CloneInto path and trims the shared windows to the checkpoint
 // position. Passing nil refills from the current source.
@@ -131,11 +118,7 @@ func (b *MachineBatch) RefillN(src *Machine, n int) {
 		b.adoptSource(src)
 	}
 	for i := 0; i < n; i++ {
-		if b.members[i] == nil {
-			b.members[i] = src.Clone()
-		} else {
-			src.CloneInto(b.members[i])
-		}
+		src.CloneInto(b.members[i])
 	}
 	b.trimToSource()
 }
@@ -163,24 +146,10 @@ func (b *MachineBatch) feedsStale(src *Machine) bool {
 // the source at or after this position, so nothing can read below it.
 func (b *MachineBatch) trimToSource() {
 	for t, f := range b.feeds {
-		if f == nil {
-			continue
-		}
 		if r, ok := b.src.threads[t].stream.(*isa.FanoutReader); ok {
 			f.TrimTo(r.Pos())
 		}
 	}
-}
-
-// Swap replaces member i with repl (which must be shaped like the other
-// members, or nil to leave the slot empty until the next Refill clones
-// it afresh) and returns the outgoing member. This is how a winning
-// trial is promoted to the live machine: the caller takes the winner out
-// and hands the dethroned live machine back as the replacement.
-func (b *MachineBatch) Swap(i int, repl *Machine) *Machine {
-	out := b.members[i]
-	b.members[i] = repl
-	return out
 }
 
 // CycleAll advances every member one cycle, member-major. It is the
@@ -202,7 +171,7 @@ func (b *MachineBatch) CycleFirstN(k, n int) {
 		k = len(b.members)
 	}
 	for done := 0; done < n; {
-		c := b.chunk
+		c := DefaultBatchChunk
 		if c > n-done {
 			c = n - done
 		}
@@ -234,7 +203,7 @@ func (b *MachineBatch) SetParallel(w int) {
 		return
 	}
 	for _, m := range b.members {
-		if m != nil && m.mem.L3() != nil {
+		if m.mem.L3() != nil {
 			panic("pipeline: parallel MachineBatch over a shared L3")
 		}
 	}
@@ -272,9 +241,6 @@ func (b *MachineBatch) worker() {
 // maxPos + c*FetchWidth guarantees no worker ever touches the source.
 func (b *MachineBatch) chunkParallel(k, c int) {
 	for t, f := range b.feeds {
-		if f == nil {
-			continue
-		}
 		var maxPos uint64
 		for i := 0; i < k; i++ {
 			if r, ok := b.members[i].threads[t].stream.(*isa.FanoutReader); ok && r.Pos() > maxPos {
@@ -298,8 +264,6 @@ func (b *MachineBatch) chunkParallel(k, c int) {
 		<-b.ack
 	}
 	for _, f := range b.feeds {
-		if f != nil {
-			f.Freeze(false)
-		}
+		f.Freeze(false)
 	}
 }

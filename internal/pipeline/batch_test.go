@@ -163,24 +163,27 @@ func TestBatchParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestBatchRefillSwapAdoption exercises the trial-loop protocol: refill
-// members from a checkpoint, advance, promote a winner via Swap (handing
-// the dethroned source back as the replacement), refill the next wave
-// from the winner. Every member must stay per-cycle identical to an
-// independently maintained reference machine.
-func TestBatchRefillSwapAdoption(t *testing.T) {
+// TestBatchRefillCopyAdoption exercises the trial-loop protocol: refill
+// members from a checkpoint, advance, copy the winner out into a held
+// machine, exchange the live and held machines, and refill the next
+// wave from the adopted copy. The adopted machine must stay identical
+// to an independently maintained reference machine, cycle for cycle.
+func TestBatchRefillCopyAdoption(t *testing.T) {
 	s := wakeupScenarios()[1]
-	shares := climberShares(2, DefaultConfig(2).Resources[resource.IntRename], 4, 1)
+	// A step wide enough that the shares bind, so members diverge and
+	// copying out the wrong one is caught.
+	shares := climberShares(2, DefaultConfig(2).Resources[resource.IntRename], 96, 1)
 	k := len(shares)
 
-	src := New(DefaultConfig(2), s.streams(), nil)
+	live := New(DefaultConfig(2), s.streams(), nil)
 	ref := New(DefaultConfig(2), s.streams(), nil)
-	b := BatchFrom(src, k)
+	b := BatchFrom(live, k)
 
 	const epoch = 700
+	var held *Machine
 	winner := 0
 	for round := 0; round < 3; round++ {
-		b.Refill(nil)
+		b.Refill(live)
 		for i := 0; i < k; i++ {
 			b.Member(i).Resources().SetShares(shares[i])
 		}
@@ -194,11 +197,20 @@ func TestBatchRefillSwapAdoption(t *testing.T) {
 		refTrial.CycleN(epoch)
 		ref = refTrial
 
-		promoted := b.Swap(winner, b.Src())
-		if got, want := traceHash(promoted), traceHash(ref); got != want {
-			t.Fatalf("round %d: promoted winner hash %016x != reference %016x", round, got, want)
+		held = b.Member(winner).CloneInto(held)
+		live, held = held, live
+		if got, want := traceHash(live), traceHash(ref); got != want {
+			t.Fatalf("round %d: adopted winner hash %016x != reference %016x", round, got, want)
 		}
-		b.RefillN(promoted, 0) // adopt as source without touching members yet
+	}
+	// The adopted copy advances on its own, still in step with the
+	// reference, while the batch's members sit stale.
+	for c := 0; c < epoch; c++ {
+		live.Cycle()
+		ref.Cycle()
+		if got, want := traceHash(live), traceHash(ref); got != want {
+			t.Fatalf("cycle %d after adoption: hash %016x != reference %016x", c, got, want)
+		}
 	}
 }
 

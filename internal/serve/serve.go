@@ -378,9 +378,8 @@ func (s *Server) runSim(ctx context.Context, j *job) {
 	jobs := []sweep.Job[simjob.Result]{{
 		Key: j.key,
 		Run: func(ctx context.Context) (simjob.Result, error) {
-			// EpochSpans slices the compute span into per-epoch child
-			// spans; with no span in ctx it returns sink unchanged.
-			return simjob.Run(ctx, j.spec, obs.EpochSpans(ctx, sink))
+			// Epoch events reach the job's SSE stream through sink.
+			return simjob.Run(ctx, j.spec, sink)
 		},
 	}}
 	res, err := sweep.Run(ctx, s.eng, jobs)
