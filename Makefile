@@ -80,10 +80,10 @@ multicore-smoke:
 
 # benchsmoke runs the machine-speed benchmarks once — not a timing gate,
 # just proof they still compile and complete: the single-core cycle loop
-# (SimulatorSpeed), the telemetry-on loop, the batch loops, and the
-# multi-core cycle loop.
+# (SimulatorSpeed), the telemetry-on loop, the batch loops, the
+# multi-core cycle loop, and the checkpoint copy (Checkpoint).
 benchsmoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorSpeed|BenchmarkMachine|BenchmarkMultiCore' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorSpeed|BenchmarkMachine|BenchmarkMultiCore|BenchmarkCheckpoint' -benchtime 1x .
 
 # bench-json measures the tracked hot-loop benchmarks (the SimulatorSpeed
 # single-core cycle loop, MultiCoreCyclesPerSec, the K=8 MachineBatch

@@ -81,16 +81,34 @@ func TestCloneIntoSteadyStateAllocLight(t *testing.T) {
 	}
 }
 
-// TestCloneIntoShapeMismatchPanics pins the contract that CloneInto
-// refuses structurally incompatible destinations instead of silently
-// corrupting them.
-func TestCloneIntoShapeMismatchPanics(t *testing.T) {
-	src := workload.ByName("art-gzip").NewMachine(nil)          // 2 threads
-	other := workload.ByName("art-mcf-swim-twolf").NewMachine(nil) // 4 threads
-	defer func() {
-		if recover() == nil {
-			t.Fatal("CloneInto accepted a destination of a different shape")
+// TestCloneIntoReshapesDestination pins the contract that CloneInto
+// accepts a destination of any shape: a machine recycled from a workload
+// with a different thread count is reshaped and then replays exactly
+// like a fresh Clone, in both directions.
+func TestCloneIntoReshapesDestination(t *testing.T) {
+	for _, c := range []struct{ src, dst string }{
+		{"art-gzip", "art-mcf-swim-twolf"}, // 2 threads into 4
+		{"art-mcf-swim-twolf", "art-gzip"}, // 4 threads into 2
+	} {
+		src := workload.ByName(c.src).NewMachine(nil)
+		src.CycleN(20_000)
+		dst := workload.ByName(c.dst).NewMachine(nil)
+		dst.CycleN(15_000)
+
+		fresh := src.Clone()
+		dst = src.CloneInto(dst)
+		fresh.CycleN(10_000)
+		dst.CycleN(10_000)
+		if fresh.Stats() != dst.Stats() {
+			t.Fatalf("%s into %s: CloneInto diverged from Clone:\nclone:     %+v\ncloneinto: %+v", c.src, c.dst, fresh.Stats(), dst.Stats())
 		}
-	}()
-	src.CloneInto(other.Clone())
+		if dst.Threads() != src.Threads() {
+			t.Fatalf("%s into %s: copy has %d threads, want %d", c.src, c.dst, dst.Threads(), src.Threads())
+		}
+		for th := 0; th < src.Threads(); th++ {
+			if fresh.ThreadStats(th) != dst.ThreadStats(th) {
+				t.Fatalf("%s into %s: thread %d stats diverged:\nclone:     %+v\ncloneinto: %+v", c.src, c.dst, th, fresh.ThreadStats(th), dst.ThreadStats(th))
+			}
+		}
+	}
 }

@@ -8,8 +8,10 @@
 // return address stack; this package follows that organisation.
 //
 // All state lives in plain slices so a Predictor can be deep-copied for
-// machine checkpointing (Clone).
+// machine checkpointing (CloneInto).
 package bpred
+
+import "slices"
 
 // Config sizes the predictor components. The zero value is invalid; use
 // Default for the paper's Table 1 configuration.
@@ -57,7 +59,7 @@ type Predictor struct {
 	rasTop  []int
 	lruTick uint32
 
-	// Statistics (monotonic; survive Clone).
+	// Statistics (monotonic; survive CloneInto).
 	Lookups     uint64
 	Mispredicts uint64
 }
@@ -89,45 +91,21 @@ func New(cfg Config) *Predictor {
 	return p
 }
 
-// Clone returns a deep copy for checkpointing.
-func (p *Predictor) Clone() *Predictor {
-	c := *p
-	c.gshare = append([]uint8(nil), p.gshare...)
-	c.bimodal = append([]uint8(nil), p.bimodal...)
-	c.meta = append([]uint8(nil), p.meta...)
-	c.btb = append([]btbEntry(nil), p.btb...)
-	c.history = append([]uint64(nil), p.history...)
-	c.rasTop = append([]int(nil), p.rasTop...)
-	c.ras = make([][]uint64, len(p.ras))
-	for i := range p.ras {
-		c.ras[i] = append([]uint64(nil), p.ras[i]...)
-	}
-	return &c
-}
-
-// CloneInto copies p's state into dst, reusing dst's tables, and returns
-// dst. A nil or differently-shaped dst falls back to an allocating Clone.
+// CloneInto overwrites dst with a deep copy of p for checkpointing,
+// reusing dst's tables, and returns dst. A nil dst allocates a new copy.
 func (p *Predictor) CloneInto(dst *Predictor) *Predictor {
-	if dst == nil || dst == p ||
-		len(dst.gshare) != len(p.gshare) || len(dst.bimodal) != len(p.bimodal) ||
-		len(dst.meta) != len(p.meta) || len(dst.btb) != len(p.btb) ||
-		len(dst.history) != len(p.history) || len(dst.ras) != len(p.ras) {
-		return p.Clone()
+	if dst == nil {
+		dst = new(Predictor)
 	}
 	gshare, bimodal, meta, btb, history, rasTop, ras := dst.gshare, dst.bimodal, dst.meta, dst.btb, dst.history, dst.rasTop, dst.ras
 	*dst = *p
-	dst.gshare = gshare
-	dst.bimodal = bimodal
-	dst.meta = meta
-	dst.btb = btb
-	dst.history = history
+	dst.gshare = append(gshare[:0], p.gshare...)
+	dst.bimodal = append(bimodal[:0], p.bimodal...)
+	dst.meta = append(meta[:0], p.meta...)
+	dst.btb = append(btb[:0], p.btb...)
+	dst.history = append(history[:0], p.history...)
 	dst.rasTop = append(rasTop[:0], p.rasTop...)
-	dst.ras = ras
-	copy(dst.gshare, p.gshare)
-	copy(dst.bimodal, p.bimodal)
-	copy(dst.meta, p.meta)
-	copy(dst.btb, p.btb)
-	copy(dst.history, p.history)
+	dst.ras = slices.Grow(ras[:0], len(p.ras))[:len(p.ras)]
 	for i := range p.ras {
 		dst.ras[i] = append(dst.ras[i][:0], p.ras[i]...)
 	}

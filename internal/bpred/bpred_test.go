@@ -145,7 +145,7 @@ func TestCloneIndependence(t *testing.T) {
 	p.BTBUpdate(pc, 0x400900)
 	p.Push(0, 0x1234)
 
-	c := p.Clone()
+	c := p.CloneInto(nil)
 	// Diverge the original.
 	for i := 0; i < 100; i++ {
 		p.Update(0, pc, false)
@@ -173,7 +173,7 @@ func TestCloneReplaysIdentically(t *testing.T) {
 	p := mk()
 	r := rng.New(3)
 	warm(p, &r, 5000)
-	c := p.Clone()
+	c := p.CloneInto(nil)
 	r2 := r // replay same stimulus
 	missP, missC := 0, 0
 	for i := 0; i < 5000; i++ {

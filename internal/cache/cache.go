@@ -92,27 +92,16 @@ func NewCache(cfg Config, contexts int) *Cache {
 	}
 }
 
-// Clone returns a deep copy.
-func (c *Cache) Clone() *Cache {
-	n := *c
-	n.lines = append([]line(nil), c.lines...)
-	n.perTh = append([]Stats(nil), c.perTh...)
-	return &n
-}
-
-// CloneInto copies c's state into dst, reusing dst's line and stats
-// arrays, and returns dst. A nil or differently-shaped dst falls back to
-// an allocating Clone.
+// CloneInto overwrites dst with a deep copy of c, reusing dst's line and
+// stats arrays, and returns dst. A nil dst allocates a new copy.
 func (c *Cache) CloneInto(dst *Cache) *Cache {
-	if dst == nil || dst == c || len(dst.lines) != len(c.lines) || len(dst.perTh) != len(c.perTh) {
-		return c.Clone()
+	if dst == nil {
+		dst = new(Cache)
 	}
 	lines, perTh := dst.lines, dst.perTh
 	*dst = *c
-	dst.lines = lines
-	dst.perTh = perTh
-	copy(dst.lines, c.lines)
-	copy(dst.perTh, c.perTh)
+	dst.lines = append(lines[:0], c.lines...)
+	dst.perTh = append(perTh[:0], c.perTh...)
 	return dst
 }
 
@@ -178,7 +167,7 @@ type Hierarchy struct {
 	DL1 *Cache
 	UL2 *Cache
 	// l3 is the shared last-level cache, nil in the single-core model.
-	// It is shared state, not owned: Clone/CloneInto copy the pointer.
+	// It is shared state, not owned: CloneInto copies the pointer.
 	l3   *SharedL3
 	core int
 }
@@ -193,31 +182,22 @@ func NewHierarchy(cfg HierarchyConfig, contexts int) *Hierarchy {
 	}
 }
 
-// Clone returns a deep copy of the private levels. The shared L3
-// pointer (if any) is carried over shallowly: the L3 belongs to the
-// System, not to any one core's checkpoint.
-func (h *Hierarchy) Clone() *Hierarchy {
-	return &Hierarchy{
-		cfg: h.cfg, IL1: h.IL1.Clone(), DL1: h.DL1.Clone(), UL2: h.UL2.Clone(),
-		l3: h.l3, core: h.core,
-	}
-}
-
-// CloneInto copies h's state into dst, reusing dst's caches, and returns
-// dst. A nil dst falls back to an allocating Clone. This is the checkpoint
-// fast path: the L2 alone is hundreds of kilobytes of line state, so
-// reusing the destination arrays dominates the savings of
+// CloneInto overwrites dst with a deep copy of h's private levels,
+// reusing dst's caches, and returns dst. A nil dst allocates a new copy.
+// The shared L3 pointer (if any) is carried over shallowly: the L3
+// belongs to the System, not to any one core's checkpoint. This is the
+// checkpoint fast path: the L2 alone is hundreds of kilobytes of line
+// state, so reusing the destination arrays dominates the savings of
 // pipeline.Machine.CloneInto.
 func (h *Hierarchy) CloneInto(dst *Hierarchy) *Hierarchy {
-	if dst == nil || dst == h {
-		return h.Clone()
+	if dst == nil {
+		dst = new(Hierarchy)
 	}
-	dst.cfg = h.cfg
-	dst.IL1 = h.IL1.CloneInto(dst.IL1)
-	dst.DL1 = h.DL1.CloneInto(dst.DL1)
-	dst.UL2 = h.UL2.CloneInto(dst.UL2)
-	dst.l3 = h.l3
-	dst.core = h.core
+	il1, dl1, ul2 := dst.IL1, dst.DL1, dst.UL2
+	*dst = *h
+	dst.IL1 = h.IL1.CloneInto(il1)
+	dst.DL1 = h.DL1.CloneInto(dl1)
+	dst.UL2 = h.UL2.CloneInto(ul2)
 	return dst
 }
 

@@ -154,7 +154,7 @@ func TestPerThreadStats(t *testing.T) {
 func TestCloneIndependence(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchy(), 1)
 	h.Load(0, 0x1000)
-	c := h.Clone()
+	c := h.CloneInto(nil)
 	// Evict 0x1000 from the original's DL1.
 	for i := 1; i <= 4; i++ {
 		h.Load(0, 0x1000+uint64(i)*uint64(h.cfg.DL1.Sets())*64)
@@ -171,7 +171,7 @@ func TestCloneReplays(t *testing.T) {
 		for i := 0; i < 2000; i++ {
 			h.Load(0, uint64(r.Intn(4<<20))&^7)
 		}
-		c := h.Clone()
+		c := h.CloneInto(nil)
 		r2 := r
 		for i := 0; i < 2000; i++ {
 			a, _ := h.Load(0, uint64(r.Intn(4<<20))&^7)

@@ -109,10 +109,10 @@ func (f *Fanout) TrimTo(pos uint64) {
 	f.base = pos
 }
 
-// FanoutReader is one consumer's cursor into a Fanout. It implements
-// ReusableStream: CloneStream yields another reader of the same fan-out
-// (this is what makes checkpoint clones share decode), and
-// CloneStreamInto retargets a pooled reader without allocating.
+// FanoutReader is one consumer's cursor into a Fanout. CloneStream
+// yields another reader of the same fan-out (this is what makes
+// checkpoint clones share decode), retargeting a recycled reader in
+// place.
 type FanoutReader struct {
 	f   *Fanout
 	pos uint64
@@ -141,19 +141,14 @@ func (r *FanoutReader) Next(out *Inst) bool {
 
 // CloneStream implements Stream. The clone shares the fan-out, so a
 // checkpointed sibling replays the identical decoded sequence without
-// re-running the generator.
-func (r *FanoutReader) CloneStream() Stream {
-	return &FanoutReader{f: r.f, pos: r.pos}
-}
-
-// CloneStreamInto implements ReusableStream: any existing FanoutReader
-// (even of a different fan-out — pooled machines are retargeted wholesale)
-// is redirected to the receiver's fan-out and position.
-func (r *FanoutReader) CloneStreamInto(dst Stream) bool {
+// re-running the generator. A FanoutReader dst (even of a different
+// fan-out — recycled machines are retargeted wholesale) is redirected to
+// the receiver's fan-out and position without allocating.
+func (r *FanoutReader) CloneStream(dst Stream) Stream {
 	d, ok := dst.(*FanoutReader)
 	if !ok {
-		return false
+		d = new(FanoutReader)
 	}
 	d.f, d.pos = r.f, r.pos
-	return true
+	return d
 }

@@ -23,19 +23,19 @@ func (c *countStream) Next(out *Inst) bool {
 	return true
 }
 
-func (c *countStream) CloneStream() Stream {
+func (c *countStream) CloneStream(Stream) Stream {
 	cp := *c
 	return &cp
 }
 
 func TestFanoutReadersSeeIdenticalContent(t *testing.T) {
 	src := &countStream{limit: 1000}
-	ref := src.CloneStream()
+	ref := src.CloneStream(nil)
 	f := NewFanout(src)
 
 	r0 := f.Origin()
-	r1 := r0.CloneStream().(*FanoutReader)
-	r2 := r0.CloneStream().(*FanoutReader)
+	r1 := r0.CloneStream(nil).(*FanoutReader)
+	r2 := r0.CloneStream(nil).(*FanoutReader)
 	readers := []*FanoutReader{r0, r1, r2}
 
 	// Advance the readers with skewed interleaving: r0 leads, r1 lags by
@@ -111,7 +111,7 @@ func TestFanoutTrimBoundsWindow(t *testing.T) {
 	stale.Next(&in)
 }
 
-func TestFanoutCloneStreamIntoRetargets(t *testing.T) {
+func TestFanoutCloneStreamRetargets(t *testing.T) {
 	fa := NewFanout(&countStream{limit: 10})
 	fb := NewFanout(&countStream{limit: 10})
 	ra := fa.Origin()
@@ -120,14 +120,21 @@ func TestFanoutCloneStreamIntoRetargets(t *testing.T) {
 	ra.Next(&in)
 	ra.Next(&in)
 
-	if !ra.CloneStreamInto(rb) {
-		t.Fatal("CloneStreamInto(FanoutReader) returned false")
+	// A reader dst is reused in place and retargeted to ra's fan-out.
+	if got := ra.CloneStream(rb); got != Stream(rb) {
+		t.Fatalf("CloneStream(reader) = %p, want the reused dst %p", got, rb)
 	}
 	if rb.Fanout() != fa || rb.Pos() != ra.Pos() {
 		t.Fatalf("retargeted reader at (%p,%d), want (%p,%d)", rb.Fanout(), rb.Pos(), fa, ra.Pos())
 	}
-	if ra.CloneStreamInto(&countStream{}) {
-		t.Fatal("CloneStreamInto(non-reader) must report false")
+	// Any other dst is ignored: a new reader of the same fan-out.
+	other := &countStream{}
+	got, ok := ra.CloneStream(other).(*FanoutReader)
+	if !ok || got == ra || got == rb {
+		t.Fatalf("CloneStream(non-reader) = %T %p, want a new *FanoutReader", got, got)
+	}
+	if got.Fanout() != fa || got.Pos() != ra.Pos() || other.n != 0 {
+		t.Fatalf("new reader at (%p,%d), want (%p,%d)", got.Fanout(), got.Pos(), fa, ra.Pos())
 	}
 }
 
@@ -162,7 +169,7 @@ func TestFanoutFreezeForbidsFill(t *testing.T) {
 func TestFanoutExhaustion(t *testing.T) {
 	f := NewFanout(&countStream{limit: 5})
 	r := f.Origin()
-	r2 := r.CloneStream().(*FanoutReader)
+	r2 := r.CloneStream(nil).(*FanoutReader)
 	var in Inst
 	n := 0
 	for r.Next(&in) {

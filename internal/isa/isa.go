@@ -163,17 +163,10 @@ type Stream interface {
 	// Next writes the next instruction into *out and returns true, or
 	// returns false if the stream is exhausted.
 	Next(out *Inst) bool
-	// CloneStream returns a deep copy positioned at the same point.
-	CloneStream() Stream
-}
-
-// ReusableStream is an optional Stream extension for allocation-free
-// checkpointing: CloneStreamInto overwrites dst — a stream previously
-// produced by CloneStream (or CloneStreamInto) of the same source — with
-// a deep copy positioned at the receiver's point, reusing dst's backing
-// storage. It reports false, leaving dst untouched, when dst is not a
-// compatible destination, and the caller must fall back to CloneStream.
-type ReusableStream interface {
-	Stream
-	CloneStreamInto(dst Stream) bool
+	// CloneStream returns a deep copy positioned at the same point. dst,
+	// a stream the caller no longer needs (or nil), may be overwritten
+	// and returned when it is of the implementation's own type, so a
+	// checkpoint loop that recycles its copies does not allocate; any
+	// other dst is ignored and a new copy is returned.
+	CloneStream(dst Stream) Stream
 }

@@ -31,11 +31,12 @@ func (p *prefixedStream) Next(out *Inst) bool {
 	return p.rest.Next(out)
 }
 
-func (p *prefixedStream) CloneStream() Stream {
-	n := &prefixedStream{
+// CloneStream ignores dst: prefixed streams live only across a
+// migration, never in a recycled checkpoint.
+func (p *prefixedStream) CloneStream(Stream) Stream {
+	return &prefixedStream{
 		prefix: append([]Inst(nil), p.prefix...),
 		pos:    p.pos,
-		rest:   p.rest.CloneStream(),
+		rest:   p.rest.CloneStream(nil),
 	}
-	return n
 }

@@ -272,7 +272,7 @@ func (s *loopStream) Next(out *isa.Inst) bool {
 	return true
 }
 
-func (s *loopStream) CloneStream() isa.Stream {
+func (s *loopStream) CloneStream(isa.Stream) isa.Stream {
 	c := *s
 	return &c
 }

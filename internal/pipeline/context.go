@@ -70,19 +70,7 @@ func (m *Machine) ExtractContext(th int) ContextState {
 	}
 
 	// Leave the seat empty: no stream, no fetch, clean front end.
-	t.stream = nil
-	t.pending = t.pending[:0]
-	t.pendingHead, t.dispatchCur, t.fetchCur = 0, 0, 0
-	t.rob = t.rob[:0]
-	t.robHead = 0
-	t.exhausted = true
-	t.fetchStall = 0
-	t.mispredictPending = false
-	t.fetchStallICache = false
-	t.lastFetchBlock = 0
-	for i := range t.rename {
-		t.rename[i] = noRef
-	}
+	t.resetSeat(nil)
 	return cs
 }
 
@@ -98,20 +86,8 @@ func (m *Machine) InstallContext(th int, cs ContextState) {
 	if cs.Stream == nil {
 		panic("pipeline: InstallContext with a nil stream")
 	}
-	t.stream = cs.Stream
+	t.resetSeat(cs.Stream)
 	t.addrBase = cs.AddrBase
-	t.pending = t.pending[:0]
-	t.pendingHead, t.dispatchCur, t.fetchCur = 0, 0, 0
-	t.rob = t.rob[:0]
-	t.robHead = 0
-	t.exhausted = false
-	t.fetchStall = 0
-	t.mispredictPending = false
-	t.fetchStallICache = false
-	t.lastFetchBlock = 0
-	for i := range t.rename {
-		t.rename[i] = noRef
-	}
 	t.bbv = [BBVEntries]uint32{}
 	// The seat's program-order watermark belongs to the departed thread;
 	// the incoming one has its own sequence numbering.
@@ -129,9 +105,33 @@ func (m *Machine) SetAddrBase(th int, base uint64) {
 	m.threads[th].addrBase = base
 }
 
+// resetSeat empties the context's front end and ROB bookkeeping and
+// binds stream to it; a nil stream leaves the seat fetch-idle. New,
+// ExtractContext and InstallContext all start from this state.
+func (t *threadState) resetSeat(stream isa.Stream) {
+	t.stream = stream
+	t.pending = t.pending[:0]
+	t.pendingHead, t.dispatchCur, t.fetchCur = 0, 0, 0
+	t.rob = t.rob[:0]
+	t.robHead = 0
+	t.exhausted = stream == nil
+	t.fetchStall = 0
+	t.mispredictPending = false
+	t.fetchStallICache = false
+	t.lastFetchBlock = 0
+	for i := range t.rename {
+		t.rename[i] = noRef
+	}
+}
+
 // GlobalAddrBase returns the canonical address-space base for global
-// logical thread g — the same stagger New applies per context, indexed
-// by the system-wide thread id.
+// logical thread g; New gives context t the base GlobalAddrBase(t), and
+// the multicore System re-bases every context by its system-wide id.
+// Each thread gets a disjoint region. The sub-region stagger is an odd
+// number of cache lines so different threads' hot blocks spread across
+// cache sets — a pure power-of-two offset would alias every thread onto
+// the same sets and thrash the shared 2-way caches once more than two
+// contexts run.
 func GlobalAddrBase(g int) uint64 {
 	return uint64(g)<<44 + uint64(g)*37*64
 }

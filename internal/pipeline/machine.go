@@ -11,7 +11,7 @@
 // any partitioned structure, exactly as described in Section 3.2 of the
 // paper.
 //
-// The entire machine state is deep-copyable via Clone, which is the
+// The entire machine state is deep-copyable via CloneInto, which is the
 // checkpoint primitive used by the paper's OFF-LINE exhaustive learning
 // and RAND-HILL algorithms: a clone replays the identical future
 // execution. To keep cloning structural, in-flight instructions live in a
@@ -20,6 +20,7 @@ package pipeline
 
 import (
 	"fmt"
+	"slices"
 
 	"smthill/internal/bpred"
 	"smthill/internal/cache"
@@ -339,17 +340,8 @@ func New(cfg Config, streams []isa.Stream, pol Policy) *Machine {
 		m.free = append(m.free, int32(i))
 	}
 	for t := range m.threads {
-		th := &m.threads[t]
-		th.stream = streams[t]
-		// Disjoint per-thread address regions. The sub-region stagger is
-		// an odd number of cache lines so different threads' hot blocks
-		// spread across cache sets — a pure power-of-two offset would
-		// alias every thread onto the same sets and thrash the shared
-		// 2-way caches once more than two contexts run.
-		th.addrBase = uint64(t)<<44 + uint64(t)*37*64
-		for i := range th.rename {
-			th.rename[i] = noRef
-		}
+		m.threads[t].resetSeat(streams[t])
+		m.threads[t].addrBase = GlobalAddrBase(t)
 	}
 	return m
 }
@@ -375,104 +367,59 @@ func newRing(n int) [][]ref {
 }
 
 // Clone returns a deep copy of the machine: an execution checkpoint.
-// Advancing the clone and the original produces identical, independent
-// executions. The telemetry recorder is deliberately NOT carried over: a
-// recorder observes one machine, and the checkpoint-based learners run
-// many speculative clones whose counters would pollute the real run's
-// attribution. Attach a fresh recorder to a clone if it should be traced.
+// See CloneInto.
 func (m *Machine) Clone() *Machine {
-	c := *m
-	c.rec = nil
-	c.res = m.res.Clone()
-	c.mem = m.mem.Clone()
-	c.bp = m.bp.Clone()
-	c.slab = append([]inflight(nil), m.slab...)
-	// Give the free list its full steady-state capacity up front so the
-	// clone's release path never re-allocates it.
-	c.free = make([]int32, len(m.free), len(m.slab))
-	copy(c.free, m.free)
-	c.readyQ = append([]readyEnt(nil), m.readyQ...)
-	c.doneRing = newRing(len(m.doneRing))
-	for i, evs := range m.doneRing {
-		c.doneRing[i] = append(c.doneRing[i], evs...)
-	}
-	c.policy = m.policy.Clone()
-	c.fetchDisabled = append([]bool(nil), m.fetchDisabled...)
-	if m.inv != nil {
-		c.inv = m.inv.clone()
-	}
-	c.threads = make([]threadState, len(m.threads))
-	for i := range m.threads {
-		t := m.threads[i]
-		t.pending = append([]isa.Inst(nil), t.pending...)
-		t.rob = append([]ref(nil), t.rob...)
-		t.stream = t.stream.CloneStream()
-		c.threads[i] = t
-	}
-	return &c
+	return m.CloneInto(nil)
 }
 
-// CloneInto copies the machine's state into dst, a machine previously
-// produced by Clone or CloneInto of a same-shaped machine (same config,
-// thread count, and structure sizes), and returns dst. It is the pooled
-// variant of Clone: every slice and table in dst is overwritten in place,
-// so a checkpoint loop that recycles trial machines performs no
-// steady-state allocation. dst's previous contents are destroyed; like
-// Clone, the telemetry recorder is not carried over. A nil dst falls back
-// to a fresh Clone, so `dst = src.CloneInto(dst)` is the idiomatic loop
-// body.
+// CloneInto overwrites dst with a deep copy of the machine and returns
+// dst; a nil dst allocates a new machine. Advancing the copy and the
+// original produces identical, independent executions. Every slice and
+// table dst already holds is reused whatever its shape, so a checkpoint
+// loop that recycles trial machines performs no steady-state allocation;
+// `dst = src.CloneInto(dst)` is the idiomatic loop body.
+//
+// The telemetry recorder is deliberately NOT carried over: a recorder
+// observes one machine, and the checkpoint-based learners run many
+// speculative copies whose counters would pollute the real run's
+// attribution. Attach a fresh recorder to a copy if it should be traced.
 func (m *Machine) CloneInto(dst *Machine) *Machine {
-	if dst == nil || dst == m {
-		return m.Clone()
+	if dst == nil {
+		dst = new(Machine)
 	}
-	if len(dst.threads) != len(m.threads) || len(dst.slab) != len(m.slab) ||
-		len(dst.doneRing) != len(m.doneRing) {
-		panic("pipeline: CloneInto destination shape mismatch")
-	}
-	dst.cfg = m.cfg
-	dst.now = m.now
-	dst.cycles = m.cycles
-	dst.stallUntil = m.stallUntil
-	dst.dispStamp = m.dispStamp
+	old := *dst
+	*dst = *m
 	dst.rec = nil
-	dst.res = m.res.CloneInto(dst.res)
-	dst.mem = m.mem.CloneInto(dst.mem)
-	dst.bp = m.bp.CloneInto(dst.bp)
-	copy(dst.slab, m.slab)
-	dst.free = append(dst.free[:0], m.free...)
-	dst.readyQ = append(dst.readyQ[:0], m.readyQ...)
-	for i := range m.doneRing {
-		dst.doneRing[i] = append(dst.doneRing[i][:0], m.doneRing[i]...)
+	dst.res = m.res.CloneInto(old.res)
+	dst.mem = m.mem.CloneInto(old.mem)
+	dst.bp = m.bp.CloneInto(old.bp)
+	dst.slab = append(old.slab[:0], m.slab...)
+	// Give the free list its full steady-state capacity up front so the
+	// copy's release path never re-allocates it.
+	dst.free = append(slices.Grow(old.free[:0], len(m.slab)), m.free...)
+	dst.readyQ = append(old.readyQ[:0], m.readyQ...)
+	dst.fetchDisabled = append(old.fetchDisabled[:0], m.fetchDisabled...)
+	dst.doneRing = old.doneRing
+	if len(dst.doneRing) != len(m.doneRing) {
+		dst.doneRing = newRing(len(m.doneRing))
+	}
+	for i, evs := range m.doneRing {
+		dst.doneRing[i] = append(dst.doneRing[i][:0], evs...)
 	}
 	dst.policy = m.policy.Clone()
-	copy(dst.fetchDisabled, m.fetchDisabled)
 	if m.inv != nil {
 		dst.inv = m.inv.clone()
-	} else {
-		dst.inv = nil
 	}
+	dst.threads = slices.Grow(old.threads[:0], len(m.threads))[:len(m.threads)]
 	for i := range m.threads {
-		s := &m.threads[i]
-		d := &dst.threads[i]
+		s, d := &m.threads[i], &dst.threads[i]
 		pending, rob, stream := d.pending, d.rob, d.stream
 		*d = *s
 		d.pending = append(pending[:0], s.pending...)
 		d.rob = append(rob[:0], s.rob...)
-		d.stream = cloneStreamInto(s.stream, stream)
+		d.stream = s.stream.CloneStream(stream)
 	}
 	return dst
-}
-
-// cloneStreamInto copies src's stream state into dst's backing storage
-// when the stream supports in-place cloning and dst is compatible,
-// falling back to an allocating CloneStream otherwise.
-func cloneStreamInto(src, dst isa.Stream) isa.Stream {
-	if r, ok := src.(isa.ReusableStream); ok && dst != nil {
-		if r.CloneStreamInto(dst) {
-			return dst
-		}
-	}
-	return src.CloneStream()
 }
 
 // Config returns the machine configuration.

@@ -38,7 +38,7 @@ func (s *scriptStream) Next(out *isa.Inst) bool {
 	return true
 }
 
-func (s *scriptStream) CloneStream() isa.Stream {
+func (s *scriptStream) CloneStream(isa.Stream) isa.Stream {
 	c := *s
 	return &c
 }

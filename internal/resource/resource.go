@@ -167,7 +167,7 @@ const (
 )
 
 // Table tracks per-thread occupancy and partition limits for every shared
-// structure. It is a plain value type aside from its slices; Clone
+// structure. It is a plain value type aside from its slices; CloneInto
 // produces an independent deep copy for checkpointing.
 type Table struct {
 	sizes   Sizes
@@ -200,29 +200,18 @@ func NewTable(threads int, sizes Sizes) *Table {
 	return t
 }
 
-// Clone returns a deep copy.
-func (t *Table) Clone() *Table {
-	c := *t
-	c.occ = append([]int(nil), t.occ...)
-	c.limit = append([]int(nil), t.limit...)
-	c.shares = t.shares.Clone()
-	return &c
-}
-
-// CloneInto copies t's state into dst, reusing dst's backing storage, and
-// returns dst. A nil or differently-shaped dst falls back to an
-// allocating Clone.
+// CloneInto overwrites dst with a deep copy of t, reusing dst's backing
+// storage, and returns dst. A nil dst allocates a new copy.
 func (t *Table) CloneInto(dst *Table) *Table {
-	if dst == nil || dst == t || len(dst.occ) != len(t.occ) {
-		return t.Clone()
+	if dst == nil {
+		dst = new(Table)
 	}
 	occ, limit, shares := dst.occ, dst.limit, dst.shares
 	*dst = *t
 	dst.occ = append(occ[:0], t.occ...)
 	dst.limit = append(limit[:0], t.limit...)
-	dst.shares = append(shares[:0], t.shares...)
-	if t.shares == nil {
-		dst.shares = nil
+	if t.shares != nil {
+		dst.shares = append(shares[:0], t.shares...)
 	}
 	return dst
 }

@@ -224,7 +224,7 @@ func TestCloneIndependence(t *testing.T) {
 	tab := NewTable(2, DefaultSizes())
 	tab.SetShares(Shares{100, 156})
 	tab.Alloc(0, ROB)
-	c := tab.Clone()
+	c := tab.CloneInto(nil)
 	tab.Alloc(0, ROB)
 	tab.SetShares(Shares{128, 128})
 	if c.Occ(0, ROB) != 1 {

@@ -56,36 +56,6 @@ func TestSpecUnknownVersionRejected(t *testing.T) {
 	}
 }
 
-func TestResultVersionRoundTripAndRejection(t *testing.T) {
-	r := Result{Version: WireVersion, Workload: "art-mcf", Tech: "ICOUNT"}
-	b, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back Result
-	if err := json.Unmarshal(b, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Version != WireVersion {
-		t.Fatalf("Version lost in round-trip: %+v", back)
-	}
-	if err := back.CheckVersion(); err != nil {
-		t.Fatal(err)
-	}
-	back.Version = WireVersion + 7
-	if back.CheckVersion() == nil {
-		t.Fatal("future Result wire version accepted")
-	}
-	// Legacy payloads (no version field) remain acceptable.
-	var legacy Result
-	if err := json.Unmarshal([]byte(`{"workload":"art-mcf"}`), &legacy); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.CheckVersion(); err != nil {
-		t.Fatalf("versionless Result rejected: %v", err)
-	}
-}
-
 func TestSpecFromKeyRoundTrip(t *testing.T) {
 	specs := []Spec{
 		{Workload: "art-mcf", Tech: "HILL-WIPC"},

@@ -294,27 +294,17 @@ func NewLimited(p Profile, limit uint64) *Gen {
 	return g
 }
 
-// CloneStream implements isa.Stream.
-func (g *Gen) CloneStream() isa.Stream {
-	c := *g
-	c.branches = make([]branchState, len(g.branches))
-	copy(c.branches, g.branches)
-	return &c
-}
-
-// CloneStreamInto implements isa.ReusableStream: it overwrites dst (a
-// prior clone of this generator) in place, reusing its branch-state
-// array, so checkpoint recycling performs no allocation.
-func (g *Gen) CloneStreamInto(dst isa.Stream) bool {
+// CloneStream implements isa.Stream. A *Gen dst is overwritten in
+// place, reusing its branch-state array.
+func (g *Gen) CloneStream(dst isa.Stream) isa.Stream {
 	d, ok := dst.(*Gen)
-	if !ok || d == g || len(d.branches) != len(g.branches) {
-		return false
+	if !ok {
+		d = new(Gen)
 	}
 	branches := d.branches
 	*d = *g
-	d.branches = branches
-	copy(d.branches, g.branches)
-	return true
+	d.branches = append(branches[:0], g.branches...)
+	return d
 }
 
 // Profile returns the generator's (defaulted) profile.

@@ -135,7 +135,7 @@ func TestCloneAfterPhaseSwitch(t *testing.T) {
 	p.SegLen = 3000
 	g := New(p)
 	collect(g, 10_000) // cross several segment boundaries
-	c := g.CloneStream().(*Gen)
+	c := g.CloneStream(nil).(*Gen)
 	a := collect(g, 8000)
 	b := collect(c, 8000)
 	for i := range a {

@@ -50,7 +50,7 @@ func TestDeterminism(t *testing.T) {
 func TestCloneReplays(t *testing.T) {
 	g := New(testProfile())
 	collect(g, 1234) // advance to an arbitrary point
-	c := g.CloneStream().(*Gen)
+	c := g.CloneStream(nil).(*Gen)
 	a := collect(g, 3000)
 	b := collect(c, 3000)
 	for i := range a {
@@ -62,7 +62,7 @@ func TestCloneReplays(t *testing.T) {
 
 func TestCloneIsIndependent(t *testing.T) {
 	g := New(testProfile())
-	c := g.CloneStream().(*Gen)
+	c := g.CloneStream(nil).(*Gen)
 	collect(g, 500) // advancing g must not disturb c
 	a := collect(New(testProfile()), 100)
 	b := collect(c, 100)
