@@ -128,6 +128,7 @@ fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseWorkload -fuzztime 5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzSpec -fuzztime 5s ./internal/simjob
+	$(GO) test -run '^$$' -fuzz FuzzExecKeyDecode -fuzztime 5s ./internal/experiment
 	$(GO) run ./cmd/experiments -check -epochs 3 -workloads art-mcf,art-gzip,ammp-applu-art-mcf fig9 > /dev/null
 
 # profile regenerates fig4 under the CPU profiler and prints the ten

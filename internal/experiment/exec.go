@@ -4,247 +4,162 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
+	"strings"
 
 	"smthill/internal/metrics"
+	"smthill/internal/simjob"
 	"smthill/internal/sweep"
 	"smthill/internal/workload"
 )
 
-// This file makes every experiment job family executable *by key*: a
-// job key already encodes the workload, technique, and exactly the
-// Config fields its result depends on (see jobs.go), so a node that
-// receives only the key can rebuild the identical job and run it on
-// its local engine. That is the property the distributed fabric
-// (internal/fabric) rests on — closures cannot cross the wire, keys
-// can. Every executor re-derives the job through the same constructor
-// the native path uses and then asserts the rebuilt key matches the
-// requested one, so key-grammar drift fails loudly instead of caching
-// a wrong result.
+// This file makes every job the experiments submit executable *by key*:
+// a key encodes the family, the workload and exactly the Config fields
+// its result depends on (see jobs.go), so a node that receives only the
+// key can rebuild the identical job and run it on its own engine. The
+// distributed fabric (internal/fabric) rests on that property: closures
+// cannot cross the wire, keys can. decodeKey is the one decoder. It
+// reads the shared parameters once, rebuilds the job through the
+// constructor the native path uses, and refuses a key that does not
+// rebuild to itself, so key-grammar drift fails before anything runs.
 
-// ExecKey executes the experiment job identified by key on the engine
-// installed with SetEngine and returns the exact raw JSON bytes the
-// engine stored for it. ok=false means the key belongs to no known
-// experiment family (the caller should try other registries or run
-// locally); an error means the key named a family but could not be
-// rebuilt or run.
-func ExecKey(ctx context.Context, key string) (raw json.RawMessage, ok bool, err error) {
-	return ExecKeyOn(ctx, engine, key)
-}
-
-// ExecKeyOn is ExecKey against an explicit engine. A fabric worker runs
-// received keys on its own engine rather than the process-global one,
-// so an in-process cluster (tests, fabric-smoke) can host several
-// workers without the coordinator's experiment run and the workers'
-// executions fighting over SetEngine.
+// ExecKeyOn executes the job identified by key on eng and returns the
+// exact raw JSON bytes the engine stored for it — the bytes a local
+// computation of that key would have memoised, so remote and local
+// results are interchangeable. It runs simjob keys (smtserved specs and
+// the mcpair runs) as well as the experiment families. ok=false means
+// the key belongs to no family this build runs (the caller computes
+// locally); an error means the key named a family but was refused or
+// failed.
 func ExecKeyOn(ctx context.Context, eng *sweep.Engine, key string) (raw json.RawMessage, ok bool, err error) {
-	prefix, params, perr := sweep.ParseKey(key)
-	if perr != nil {
-		return nil, false, nil // not a canonical key; not ours
+	j, ok, err := decodeKey(key)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
-	family, verOK := splitFamily(prefix)
-	if !verOK {
-		return nil, false, nil
-	}
-	p := keyParams{key: key, params: params}
-	switch family {
-	case "solo":
-		app, cycles := p.str("app"), p.num("cycles")
-		if err := p.finish(); err != nil {
-			return nil, true, err
-		}
-		if !knownApp(app) {
-			return nil, true, fmt.Errorf("experiment: exec %s: unknown application %q", key, app)
-		}
-		return execJob(ctx, eng, key, soloJob(app, cycles))
-	case "baseline":
-		cfg, w, err := p.geometry()
-		pol := p.str("pol")
-		if err2 := firstErr(err, p.finish()); err2 != nil {
-			return nil, true, err2
-		}
-		return execJob(ctx, eng, key, baselineJob(cfg, w, pol))
-	case "hill":
-		cfg, w, err := p.geometry()
-		kind, kerr := metricByName(p.str("metric"))
-		if err2 := firstErr(err, kerr, p.finish()); err2 != nil {
-			return nil, true, err2
-		}
-		return execJob(ctx, eng, key, hillJob(cfg, w, kind))
-	case "offline":
-		cfg, w, err := p.geometry()
-		cfg.OffLineStride = p.num("stride")
-		cfg.SoloCycles = p.num("sc")
-		if err2 := firstErr(err, p.finish()); err2 != nil {
-			return nil, true, err2
-		}
-		singles, serr := singlesOn(ctx, eng, cfg, w)
-		if serr != nil {
-			return nil, true, serr
-		}
-		return execJob(ctx, eng, key, offLineJob(cfg, w, singles))
-	case "randhill":
-		cfg, w, err := p.geometry()
-		cfg.RandHillIters = p.num("iters")
-		cfg.SoloCycles = p.num("sc")
-		if err2 := firstErr(err, p.finish()); err2 != nil {
-			return nil, true, err2
-		}
-		singles, serr := singlesOn(ctx, eng, cfg, w)
-		if serr != nil {
-			return nil, true, serr
-		}
-		return execJob(ctx, eng, key, randHillJob(cfg, w, singles))
-	case "hillwidth":
-		cfg, w, err := p.geometry()
-		cfg.OffLineStride = p.num("stride")
-		cfg.SoloCycles = p.num("sc")
-		if err2 := firstErr(err, p.finish()); err2 != nil {
-			return nil, true, err2
-		}
-		singles, serr := singlesOn(ctx, eng, cfg, w)
-		if serr != nil {
-			return nil, true, serr
-		}
-		return execJob(ctx, eng, key, hillWidthJob(cfg, w, singles))
-	case "table2":
-		cfg := Default()
-		app := p.str("app")
-		cfg.SoloCycles = p.num("sc")
-		if err := p.finish(); err != nil {
-			return nil, true, err
-		}
-		if !knownApp(app) {
-			return nil, true, fmt.Errorf("experiment: exec %s: unknown application %q", key, app)
-		}
-		return execJob(ctx, eng, key, table2Job(cfg, app))
-	case "mcpair":
-		cfg, w, err := p.geometry()
-		cores := p.num("cores")
-		pair := p.str("pair")
-		if err2 := firstErr(err, p.finish()); err2 != nil {
-			return nil, true, err2
-		}
-		return execJob(ctx, eng, key, mcpairJob(cfg, w, cores, pair))
-	case "phasehill":
-		cfg, w, err := p.geometry()
-		if err2 := firstErr(err, p.finish()); err2 != nil {
-			return nil, true, err2
-		}
-		return execJob(ctx, eng, key, phaseHillJob(cfg, w))
-	}
-	return nil, false, nil
-}
-
-// splitFamily peels "v<resultsVersion>|<family>" apart, refusing other
-// result versions: a version-skewed peer must recompute locally rather
-// than receive bytes produced under different semantics.
-func splitFamily(prefix string) (string, bool) {
-	want := fmt.Sprintf("v%d|", resultsVersion)
-	if len(prefix) <= len(want) || prefix[:len(want)] != want {
-		return "", false
-	}
-	return prefix[len(want):], true
-}
-
-// keyParams accumulates parameter lookups and their first error, so
-// family handlers read fields linearly and report one precise failure.
-type keyParams struct {
-	key    string
-	params map[string]string
-	err    error
-}
-
-func (p *keyParams) str(name string) string {
-	v, ok := p.params[name]
-	if !ok && p.err == nil {
-		p.err = fmt.Errorf("experiment: exec %s: missing parameter %q", p.key, name)
-	}
-	return v
-}
-
-func (p *keyParams) num(name string) int {
-	s := p.str(name)
-	if p.err != nil {
-		return 0
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		p.err = fmt.Errorf("experiment: exec %s: bad %s %q", p.key, name, s)
-		return 0
-	}
-	return n
-}
-
-// geometry reads the epoch-geometry triple shared by every
-// workload-keyed family and resolves the workload itself.
-func (p *keyParams) geometry() (Config, workload.Workload, error) {
-	cfg := Default()
-	cfg.EpochSize = p.num("es")
-	cfg.Epochs = p.num("ep")
-	cfg.WarmupEpochs = p.num("wu")
-	wl := p.str("wl")
-	if p.err != nil {
-		return cfg, workload.Workload{}, p.err
-	}
-	w, err := workload.Parse(wl)
-	if err != nil {
-		return cfg, workload.Workload{}, fmt.Errorf("experiment: exec %s: %v", p.key, err)
-	}
-	return cfg, w, nil
-}
-
-func (p *keyParams) finish() error { return p.err }
-
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// execJob runs one rebuilt job on the installed engine and returns the
-// engine's stored bytes — the same bytes a local computation of that
-// key would have produced and memoised, so remote and local results
-// are interchangeable.
-func execJob[R any](ctx context.Context, eng *sweep.Engine, key string, j sweep.Job[R]) (json.RawMessage, bool, error) {
-	if j.Key != key {
-		return nil, true, fmt.Errorf("experiment: exec %s: rebuilt job keys to %s (key grammar drift)", key, j.Key)
-	}
-	if _, err := sweep.Run(ctx, eng, []sweep.Job[R]{j}); err != nil {
+	if err := j.run(ctx, eng); err != nil {
 		return nil, true, err
 	}
-	raw, _, ok := eng.Lookup(ctx, key)
-	if !ok {
+	raw, _, found := eng.Lookup(ctx, key)
+	if !found {
 		return nil, true, fmt.Errorf("experiment: exec %s: result is not cacheable", key)
 	}
 	return raw, true, nil
 }
 
-// singlesOn computes Singles on an explicit engine: the stand-alone
-// reference IPCs the ideal techniques score against, via the same solo
-// job keys the native path uses, so the per-app runs memoise and cache
-// identically.
-func singlesOn(ctx context.Context, eng *sweep.Engine, cfg Config, w workload.Workload) ([]float64, error) {
-	var jobs []sweep.Job[float64]
-	seen := map[string]bool{}
-	for _, app := range w.Apps {
-		if !seen[app] {
-			seen[app] = true
-			jobs = append(jobs, soloJob(app, cfg.SoloCycles))
+// keyedJob is a job rebuilt from its key with its result type erased:
+// run submits it to an engine.
+type keyedJob struct {
+	key string
+	run func(ctx context.Context, eng *sweep.Engine) error
+}
+
+func keyed[R any](j sweep.Job[R]) keyedJob {
+	return keyedJob{key: j.Key, run: func(ctx context.Context, eng *sweep.Engine) error {
+		_, err := sweep.Run(ctx, eng, []sweep.Job[R]{j})
+		return err
+	}}
+}
+
+// withSingles rebuilds an ideal learner's job. Its constructor needs the
+// workload's reference singles, which are computed on the executing
+// engine through the native solo jobs, so they memoise and cache alike.
+func withSingles[R any](cfg Config, w workload.Workload, build func(Config, workload.Workload, []float64) sweep.Job[R]) keyedJob {
+	return keyedJob{key: build(cfg, w, nil).Key, run: func(ctx context.Context, eng *sweep.Engine) error {
+		solos, err := solosOn(ctx, eng, cfg, []workload.Workload{w})
+		if err != nil {
+			return err
+		}
+		return keyed(build(cfg, w, singlesFor(solos, w))).run(ctx, eng)
+	}}
+}
+
+// keyArgs are a key's decoded parameters: the Config fields by key name,
+// the workload, and the strings some families add.
+type keyArgs struct {
+	cfg    Config
+	w      workload.Workload
+	app    string
+	pol    string
+	metric metrics.Kind
+}
+
+// families rebuilds each experiment job family from its decoded key.
+var families = map[string]func(a keyArgs) keyedJob{
+	"solo":      func(a keyArgs) keyedJob { return keyed(soloJob(a.app, a.cfg.SoloCycles)) },
+	"table2":    func(a keyArgs) keyedJob { return keyed(table2Job(a.cfg, a.app)) },
+	"baseline":  func(a keyArgs) keyedJob { return keyed(baselineJob(a.cfg, a.w, a.pol)) },
+	"hill":      func(a keyArgs) keyedJob { return keyed(hillJob(a.cfg, a.w, a.metric)) },
+	"phasehill": func(a keyArgs) keyedJob { return keyed(phaseHillJob(a.cfg, a.w)) },
+	"offline":   func(a keyArgs) keyedJob { return withSingles(a.cfg, a.w, offLineJob) },
+	"randhill":  func(a keyArgs) keyedJob { return withSingles(a.cfg, a.w, randHillJob) },
+}
+
+// decodeKey rebuilds the job key names without running anything. A
+// parameter the family does not use, a missing one, or a non-canonical
+// spelling makes the rebuilt key differ, and the key is refused; so is
+// an unknown app, policy, metric or workload.
+func decodeKey(key string) (keyedJob, bool, error) {
+	prefix, params, err := sweep.ParseKey(key)
+	if err != nil {
+		return keyedJob{}, false, nil // not a canonical key; not ours
+	}
+	spec, isSpec, err := simjob.SpecFromKey(key)
+	switch {
+	case err != nil:
+		return keyedJob{}, true, err
+	case isSpec:
+		return keyed(simjob.Job(spec, tele)), true, nil
+	}
+	// Another results version is not ours either: a version-skewed peer
+	// must recompute locally rather than receive bytes produced under
+	// different semantics.
+	family, ok := strings.CutPrefix(prefix, keyPrefix(""))
+	build, known := families[family]
+	if !ok || !known {
+		return keyedJob{}, false, nil
+	}
+	refuse := func(format string, args ...any) (keyedJob, bool, error) {
+		return keyedJob{}, true, fmt.Errorf("experiment: exec %s: %s", key, fmt.Sprintf(format, args...))
+	}
+
+	a := keyArgs{cfg: Default(), app: params["app"], pol: params["pol"]}
+	for _, f := range []struct {
+		name string
+		dst  *int
+	}{
+		{"es", &a.cfg.EpochSize}, {"ep", &a.cfg.Epochs}, {"wu", &a.cfg.WarmupEpochs},
+		{"stride", &a.cfg.OffLineStride}, {"iters", &a.cfg.RandHillIters},
+		{"sc", &a.cfg.SoloCycles}, {"cycles", &a.cfg.SoloCycles}, // solo keys say "cycles"
+	} {
+		if v, ok := params[f.name]; ok {
+			if *f.dst, err = strconv.Atoi(v); err != nil {
+				return refuse("bad %s %q", f.name, v)
+			}
 		}
 	}
-	res, err := sweep.Run(ctx, eng, jobs)
-	if err != nil {
-		return nil, err
+	if v, ok := params["wl"]; ok {
+		if a.w, err = workload.Parse(v); err != nil {
+			return refuse("%v", err)
+		}
 	}
-	out := make([]float64, w.Threads())
-	for i, app := range w.Apps {
-		out[i] = res[soloKey(app, cfg.SoloCycles)]
+	if _, ok := params["app"]; ok && !knownApp(a.app) {
+		return refuse("unknown application %q", a.app)
 	}
-	return out, nil
+	if _, ok := params["pol"]; ok && !slices.Contains(baselineNames(), a.pol) {
+		return refuse("unknown baseline policy %q", a.pol)
+	}
+	if v, ok := params["metric"]; ok {
+		if a.metric, err = metricByName(v); err != nil {
+			return refuse("%v", err)
+		}
+	}
+
+	j := build(a)
+	if j.key != key {
+		return refuse("rebuilds to %s", j.key)
+	}
+	return j, true, nil
 }
 
 // metricByName inverts metrics.Kind.String for the kinds job keys use.
@@ -258,10 +173,5 @@ func metricByName(name string) (metrics.Kind, error) {
 }
 
 func knownApp(name string) bool {
-	for _, n := range workload.Names() {
-		if n == name {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(workload.Names(), name)
 }

@@ -3,9 +3,12 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"sort"
+	"sync/atomic"
 	"testing"
 
 	"smthill/internal/metrics"
+	"smthill/internal/simjob"
 	"smthill/internal/sweep"
 	"smthill/internal/workload"
 )
@@ -20,6 +23,7 @@ func TestExecKeyMatchesNativeJobs(t *testing.T) {
 	cfg.EpochSize = 4 * 1024
 	cfg.SoloCycles = 8 * 1024
 	w := workload.ByName("art-mcf")
+	mc := mcpairSpec(cfg, MulticoreWorkloads(2)[0], 2, "stall-pred")
 	t.Cleanup(func() { SetEngine(sweep.NewEngine(0)) })
 
 	native := sweep.NewEngine(0)
@@ -38,15 +42,15 @@ func TestExecKeyMatchesNativeJobs(t *testing.T) {
 		{"hill", hillKey(cfg, w, metrics.WeightedIPC),
 			func() { mustRun([]sweep.Job[[]float64]{hillJob(cfg, w, metrics.WeightedIPC)}) }},
 		{"offline", offLineKey(cfg, w),
-			func() { mustRun([]sweep.Job[[]float64]{offLineJob(cfg, w, singles)}) }},
+			func() { mustRun([]sweep.Job[offLineResult]{offLineJob(cfg, w, singles)}) }},
 		{"randhill", randHillKey(cfg, w),
 			func() { mustRun([]sweep.Job[[]float64]{randHillJob(cfg, w, singles)}) }},
-		{"hillwidth", hillWidthKey(cfg, w),
-			func() { mustRun([]sweep.Job[[]float64]{hillWidthJob(cfg, w, singles)}) }},
 		{"table2", table2Key(cfg, "art"),
 			func() { mustRun([]sweep.Job[Table2Row]{table2Job(cfg, "art")}) }},
 		{"phasehill", phaseHillKey(cfg, w),
 			func() { mustRun([]sweep.Job[phaseHillResult]{phaseHillJob(cfg, w)}) }},
+		{"simjob", mc.Key(),
+			func() { mustRun([]sweep.Job[simjob.Result]{simjob.Job(mc, nil)}) }},
 	}
 
 	for _, c := range cases {
@@ -57,43 +61,185 @@ func TestExecKeyMatchesNativeJobs(t *testing.T) {
 			t.Fatalf("%s: native run left no memo entry for %s", c.family, c.key)
 		}
 
-		fresh := sweep.NewEngine(0)
-		SetEngine(fresh)
-		got, handled, err := ExecKey(context.Background(), c.key)
+		got, handled, err := ExecKeyOn(context.Background(), sweep.NewEngine(0), c.key)
 		if err != nil || !handled {
-			t.Fatalf("%s: ExecKey(%s) handled=%v err=%v", c.family, c.key, handled, err)
+			t.Fatalf("%s: ExecKeyOn(%s) handled=%v err=%v", c.family, c.key, handled, err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Errorf("%s: ExecKey bytes differ from native\n exec:   %s\n native: %s", c.family, got, want)
+			t.Errorf("%s: ExecKeyOn bytes differ from native\n exec:   %s\n native: %s", c.family, got, want)
 		}
 	}
 }
 
 func TestExecKeyDeclinesForeignKeys(t *testing.T) {
-	t.Cleanup(func() { SetEngine(sweep.NewEngine(0)) })
 	for _, key := range []string{
-		"v1|simjob|wl=art-mcf|tech=ICOUNT|ep=3|es=1024|wu=1|d=4|seed=0", // simjob family
+		"v1|offline|wl=art-mcf|es=1024|ep=2|wu=1|stride=16|sc=1024", // older results version
 		"v99|hill|wl=art-mcf", // foreign results version
 		"not a key at all",
-		"v1|nosuchfamily|wl=art-mcf",
+		"v2|nosuchfamily|wl=art-mcf",
 	} {
-		if _, handled, err := ExecKey(context.Background(), key); handled || err != nil {
-			t.Errorf("ExecKey(%q) = handled=%v err=%v, want declined", key, handled, err)
+		if _, handled, err := ExecKeyOn(context.Background(), sweep.NewEngine(1), key); handled || err != nil {
+			t.Errorf("ExecKeyOn(%q) = handled=%v err=%v, want declined", key, handled, err)
 		}
 	}
 }
 
-func TestExecKeyRejectsBadFamilyKeys(t *testing.T) {
-	t.Cleanup(func() { SetEngine(sweep.NewEngine(0)) })
-	for _, key := range []string{
-		"v1|hill|wl=art-mcf", // missing geometry
-		"v1|hill|wl=art-mcf|metric=nope|es=1024|ep=2|wu=1", // unknown metric
-		"v1|baseline|wl=zzz|pol=ICOUNT|es=1024|ep=2|wu=1",  // unknown workload
-		"v1|solo|app=zzz|cycles=1024",                      // unknown app
-		"v1|solo|app=art|cycles=banana",                    // non-numeric
-	} {
-		if _, handled, err := ExecKey(context.Background(), key); !handled || err == nil {
-			t.Errorf("ExecKey(%q) = handled=%v err=%v, want handled error", key, handled, err)
+// familyKeys returns one valid key per executable family.
+func familyKeys() map[string]string {
+	cfg := tiny()
+	w := workload.ByName("art-mcf")
+	return map[string]string{
+		"solo":      soloKey("art", cfg.SoloCycles),
+		"table2":    table2Key(cfg, "art"),
+		"baseline":  baselineKey(cfg, w, "DCRA"),
+		"hill":      hillKey(cfg, w, metrics.WeightedIPC),
+		"phasehill": phaseHillKey(cfg, w),
+		"offline":   offLineKey(cfg, w),
+		"randhill":  randHillKey(cfg, w),
+		"simjob":    mcpairSpec(cfg, MulticoreWorkloads(2)[0], 2, "random").Key(),
+	}
+}
+
+// rekey rewrites one parameter of key (an empty value drops it).
+func rekey(t *testing.T, key, name, value string) string {
+	t.Helper()
+	prefix, params, err := sweep.ParseKey(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if value == "" {
+		delete(params, name)
+	} else {
+		params[name] = value
+	}
+	return sweep.KeyFrom(prefix, params)
+}
+
+// TestExecKeyRefusesBeforeRunning: a key that names a family but does
+// not rebuild to itself — a parameter dropped or added, or an unknown
+// app, policy, metric or workload — is refused before any simulation,
+// solo references included, touches the engine.
+func TestExecKeyRefusesBeforeRunning(t *testing.T) {
+	keys := familyKeys()
+	var bad []string
+	for family, key := range keys {
+		_, params, err := sweep.ParseKey(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name := range params {
+			bad = append(bad, rekey(t, key, name, "")) // one parameter dropped
+		}
+		bad = append(bad, rekey(t, key, "extra", "1"))
+		if family != "simjob" {
+			// A Config field another family reads is extra here too.
+			other := "iters"
+			if family == "randhill" {
+				other = "stride"
+			}
+			bad = append(bad, rekey(t, key, other, "8"))
+		}
+		for name, unknown := range map[string]string{"app": "zzz", "pol": "NOPE", "metric": "nope", "wl": "zzz-yyy"} {
+			if _, ok := params[name]; ok {
+				bad = append(bad, rekey(t, key, name, unknown))
+			}
 		}
 	}
+	bad = append(bad,
+		"v2|hill|wl=art-mcf", // missing geometry
+		"v2|hill|wl=art-mcf|metric=nope|es=1024|ep=2|wu=1", // unknown metric
+		"v2|baseline|wl=zzz|pol=ICOUNT|es=1024|ep=2|wu=1",  // unknown workload
+		"v2|solo|app=zzz|cycles=1024",                      // unknown app
+		"v2|solo|app=art|cycles=banana",                    // non-numeric
+		rekey(t, keys["offline"], "es", "08192"),           // non-canonical number
+		rekey(t, keys["offline"], "wl", "art,mcf"),         // non-canonical workload spelling
+	)
+
+	soloKeys := []string{soloKey("art", tiny().SoloCycles), soloKey("mcf", tiny().SoloCycles)}
+	for _, key := range bad {
+		eng := sweep.NewEngine(1)
+		var events atomic.Int64
+		eng.SetObserver(func(sweep.Event) { events.Add(1) })
+		if _, handled, err := ExecKeyOn(context.Background(), eng, key); !handled || err == nil {
+			t.Errorf("ExecKeyOn(%q) = handled=%v err=%v, want handled error", key, handled, err)
+		}
+		if n := events.Load(); n != 0 {
+			t.Errorf("ExecKeyOn(%q) submitted work before refusing it (%d engine events)", key, n)
+		}
+		for _, k := range append(soloKeys, key) {
+			if _, _, ok := eng.Lookup(context.Background(), k); ok {
+				t.Errorf("ExecKeyOn(%q) left %s in the memo", key, k)
+			}
+		}
+	}
+}
+
+// TestFig7ReusesFig4OffLine: Figure 7's hill widths come with Figure 4's
+// OFF-LINE jobs, so after Figure 4 on one engine HillWidths computes
+// nothing.
+func TestFig7ReusesFig4OffLine(t *testing.T) {
+	cfg := tiny()
+	cfg.Epochs = 2
+	loads := tinyLoads()
+
+	e := sweep.NewEngine(2)
+	var computed, hits atomic.Int64
+	e.SetObserver(func(ev sweep.Event) {
+		switch {
+		case ev.Kind != sweep.JobDone:
+		case ev.Source == sweep.FromRun:
+			computed.Add(1)
+		default:
+			hits.Add(1)
+		}
+	})
+	var rows []HillWidthRow
+	withEngine(e, func() {
+		Figure4(cfg, loads)
+		computed.Store(0)
+		hits.Store(0)
+		rows = HillWidths(cfg, loads)
+	})
+	if n := computed.Load(); n != 0 {
+		t.Fatalf("HillWidths after Figure4 computed %d jobs, want 0", n)
+	}
+	if hits.Load() == 0 || len(rows) != len(loads) || len(rows[0].Width) != len(HillWidthLevels) {
+		t.Fatalf("HillWidths rows = %+v (memo hits %d)", rows, hits.Load())
+	}
+}
+
+// FuzzExecKeyDecode drives arbitrary strings through the key decoder
+// alone (decodeKey never runs a simulation). Nothing may panic, and a
+// key it accepts must be canonical and rebuild to exactly itself.
+func FuzzExecKeyDecode(f *testing.F) {
+	var seeds []string
+	for _, key := range familyKeys() {
+		seeds = append(seeds, key)
+	}
+	sort.Strings(seeds) // stable seed#N names
+	for _, key := range seeds {
+		f.Add(key)
+	}
+	f.Add("v2|hill|wl=art-mcf")
+	f.Add("v2|baseline|ep=6|es=8192|pol=NOPE|wl=art-mcf|wu=1")
+	f.Add("v2|solo|app=art|cycles=-1")
+	f.Add("v1|simjob|cores=9|wl=art")
+	f.Add("v2|offline|wl=%zz")
+	f.Add("not a key")
+	f.Fuzz(func(t *testing.T, key string) {
+		j, ok, err := decodeKey(key)
+		if !ok || err != nil {
+			return
+		}
+		if j.key != key {
+			t.Fatalf("accepted %q but rebuilt %q", key, j.key)
+		}
+		prefix, params, perr := sweep.ParseKey(key)
+		if perr != nil || sweep.KeyFrom(prefix, params) != key {
+			t.Fatalf("accepted non-canonical key %q", key)
+		}
+		if j.run == nil {
+			t.Fatalf("accepted %q without a runnable job", key)
+		}
+	})
 }

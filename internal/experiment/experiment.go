@@ -139,9 +139,6 @@ func runHill(cfg Config, w workload.Workload, feedback metrics.Kind) []float64 {
 	return r.TotalsSince(0)
 }
 
-// pipelinePolicy returns a fresh per-cycle policy instance by name.
-func pipelinePolicy(name string) pipeline.Policy { return policy.ByName(name) }
-
 // commitVector snapshots per-thread committed counts.
 func commitVector(m *pipeline.Machine) []uint64 {
 	out := make([]uint64, m.Threads())

@@ -80,11 +80,10 @@ func Figure11TwoThread(cfg Config, loads []workload.Workload) []Figure11Row {
 	solos := soloBatch(cfg, loads)
 	var jobs []sweep.Job[[]float64]
 	for _, w := range loads {
-		jobs = append(jobs,
-			hillJob(cfg, w, metrics.WeightedIPC),
-			offLineJob(cfg, w, singlesFor(solos, w)))
+		jobs = append(jobs, hillJob(cfg, w, metrics.WeightedIPC))
 	}
 	runs := mustRun(jobs)
+	offline := offLineBatch(cfg, loads, solos)
 
 	rows := make([]Figure11Row, 0, len(loads))
 	for _, w := range loads {
@@ -93,8 +92,8 @@ func Figure11TwoThread(cfg Config, loads []workload.Workload) []Figure11Row {
 		rows = append(rows, Figure11Row{
 			Workload: w.Name(), Group: w.Group,
 			Scores: map[string]float64{
-				"HILL-WIPC": endScore(metrics.WeightedIPC, runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
-				"OFF-LINE":  endScore(metrics.WeightedIPC, runs[offLineKey(cfg, w)], singles),
+				"HILL-WIPC": metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
+				"OFF-LINE":  metrics.WeightedIPC.Eval(offline[offLineKey(cfg, w)].IPC, singles),
 			},
 			Derived:   label,
 			Predicted: PredictBehaviour(label),
@@ -123,9 +122,9 @@ func Figure11FourThread(cfg Config, loads []workload.Workload) []Figure11Row {
 		rows = append(rows, Figure11Row{
 			Workload: w.Name(), Group: w.Group,
 			Scores: map[string]float64{
-				"DCRA":      endScore(metrics.WeightedIPC, runs[baselineKey(cfg, w, "DCRA")], singles),
-				"HILL-WIPC": endScore(metrics.WeightedIPC, runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
-				"RAND-HILL": endScore(metrics.WeightedIPC, runs[randHillKey(cfg, w)], singles),
+				"DCRA":      metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, "DCRA")], singles),
+				"HILL-WIPC": metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
+				"RAND-HILL": metrics.WeightedIPC.Eval(runs[randHillKey(cfg, w)], singles),
 			},
 			Derived:   label,
 			Predicted: PredictBehaviour(label),

@@ -6,6 +6,7 @@ import (
 	"smthill/internal/core"
 	"smthill/internal/metrics"
 	"smthill/internal/pipeline"
+	"smthill/internal/policy"
 	"smthill/internal/workload"
 )
 
@@ -38,7 +39,7 @@ func Figure5(cfg Config, w workload.Workload) []Figure5Row {
 		base := commitVector(o.M)
 		p.Run(o.M, len(pols), cfg.EpochSize,
 			func(i int, trial *pipeline.Machine) {
-				trial.SetPolicy(pipelinePolicy(pols[i]))
+				trial.SetPolicy(policy.ByName(pols[i]))
 				trial.Resources().ClearPartitions()
 			},
 			func(i int, trial *pipeline.Machine) {

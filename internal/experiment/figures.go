@@ -20,15 +20,16 @@ type CompareRow struct {
 	Scores map[string]float64
 }
 
-// endScore evaluates the end metric from aggregate per-thread IPCs and
-// the reference stand-alone IPCs.
-func endScore(metric metrics.Kind, ipc, singles []float64) float64 {
-	return metric.Eval(ipc, singles)
+// offLineResult is one OFF-LINE run: the per-thread IPCs over the
+// measured epochs (Figures 4 and 11) and the mean hill widths of its
+// per-epoch trial curves (Figure 7), so both figures read one search.
+type offLineResult struct {
+	IPC    []float64 `json:"ipc"`
+	Widths []float64 `json:"widths"`
 }
 
-// runOffLine measures the OFF-LINE ideal on w and returns per-thread IPCs
-// over the measured epochs.
-func runOffLine(cfg Config, w workload.Workload, singles []float64) []float64 {
+// runOffLine measures the OFF-LINE ideal on w.
+func runOffLine(cfg Config, w workload.Workload, singles []float64) offLineResult {
 	m := w.NewMachine(nil)
 	m.CycleN(cfg.WarmupEpochs * cfg.EpochSize)
 	o := core.NewOffLine(m, metrics.WeightedIPC, singles)
@@ -37,7 +38,10 @@ func runOffLine(cfg Config, w workload.Workload, singles []float64) []float64 {
 	o.Trace = tele
 	o.TraceLabel = w.Name() + "/OFF-LINE"
 	epochs := o.Run(cfg.Epochs)
-	return aggregateIPC(epochs, w.Threads(), cfg.EpochSize)
+	return offLineResult{
+		IPC:    aggregateIPC(epochs, w.Threads(), cfg.EpochSize),
+		Widths: meanWidths(epochs, cfg.OffLineStride),
+	}
 }
 
 // runRandHill measures the RAND-HILL ideal on w.
@@ -79,18 +83,18 @@ func Figure4(cfg Config, loads []workload.Workload) []CompareRow {
 		for _, pol := range baselineNames() {
 			jobs = append(jobs, baselineJob(cfg, w, pol))
 		}
-		jobs = append(jobs, offLineJob(cfg, w, singlesFor(solos, w)))
 	}
 	runs := mustRun(jobs)
+	offline := offLineBatch(cfg, loads, solos)
 
 	rows := make([]CompareRow, 0, len(loads))
 	for _, w := range loads {
 		singles := singlesFor(solos, w)
 		scores := map[string]float64{}
 		for _, pol := range baselineNames() {
-			scores[pol] = endScore(metrics.WeightedIPC, runs[baselineKey(cfg, w, pol)], singles)
+			scores[pol] = metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, pol)], singles)
 		}
-		scores["OFF-LINE"] = endScore(metrics.WeightedIPC, runs[offLineKey(cfg, w)], singles)
+		scores["OFF-LINE"] = metrics.WeightedIPC.Eval(offline[offLineKey(cfg, w)].IPC, singles)
 		rows = append(rows, CompareRow{Workload: w.Name(), Group: w.Group, Scores: scores})
 	}
 	return rows
@@ -114,9 +118,9 @@ func Figure9(cfg Config, loads []workload.Workload) []CompareRow {
 		singles := singlesFor(solos, w)
 		scores := map[string]float64{}
 		for _, pol := range baselineNames() {
-			scores[pol] = endScore(metrics.WeightedIPC, runs[baselineKey(cfg, w, pol)], singles)
+			scores[pol] = metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, pol)], singles)
 		}
-		scores["HILL"] = endScore(metrics.WeightedIPC, runs[hillKey(cfg, w, metrics.WeightedIPC)], singles)
+		scores["HILL"] = metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles)
 		rows = append(rows, CompareRow{Workload: w.Name(), Group: w.Group, Scores: scores})
 	}
 	return rows

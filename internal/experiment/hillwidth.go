@@ -1,13 +1,10 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	"smthill/internal/core"
-	"smthill/internal/metrics"
-	"smthill/internal/sweep"
 	"smthill/internal/workload"
 )
 
@@ -46,65 +43,36 @@ func widthAt(scores []float64, level float64, stride int) int {
 	return (hi - lo + 1) * stride
 }
 
-// hillWidthKey identifies one workload's hill-width measurement. It is
-// an OFF-LINE run reduced to mean widths, so it shares OFF-LINE's
-// dependencies (the levels themselves are constants, covered by
-// resultsVersion).
-func hillWidthKey(cfg Config, w workload.Workload) string {
-	return fmt.Sprintf("v%d|hillwidth|wl=%s|es=%d|ep=%d|wu=%d|stride=%d|sc=%d",
-		resultsVersion, w.Name(), cfg.EpochSize, cfg.Epochs, cfg.WarmupEpochs,
-		cfg.OffLineStride, cfg.SoloCycles)
-}
-
-// hillWidthJob measures one workload's mean per-epoch hill widths by
-// running the exhaustive search and reducing its trial curves in-job, so
-// the cached result stays a small []float64 rather than full epochs.
-func hillWidthJob(cfg Config, w workload.Workload, singles []float64) sweep.Job[[]float64] {
-	return sweep.Job[[]float64]{
-		Key: hillWidthKey(cfg, w),
-		Run: func(context.Context) ([]float64, error) {
-			m := w.NewMachine(nil)
-			m.CycleN(cfg.WarmupEpochs * cfg.EpochSize)
-			o := core.NewOffLine(m, metrics.WeightedIPC, singles)
-			o.EpochSize = cfg.EpochSize
-			o.Stride = cfg.OffLineStride
-			epochs := o.Run(cfg.Epochs)
-
-			sums := make([]float64, len(HillWidthLevels))
-			for _, e := range epochs {
-				scores := make([]float64, len(e.Trials))
-				for i, tr := range e.Trials {
-					scores[i] = tr.Score
-				}
-				for li, level := range HillWidthLevels {
-					sums[li] += float64(widthAt(scores, level, cfg.OffLineStride))
-				}
-			}
-			widths := make([]float64, len(HillWidthLevels))
-			for i := range widths {
-				widths[i] = sums[i] / float64(len(epochs))
-			}
-			return widths, nil
-		},
+// meanWidths reduces OFF-LINE's per-epoch trial curves to the mean
+// hill width at each of HillWidthLevels.
+func meanWidths(epochs []core.OffLineEpoch, stride int) []float64 {
+	sums := make([]float64, len(HillWidthLevels))
+	for _, e := range epochs {
+		scores := make([]float64, len(e.Trials))
+		for i, tr := range e.Trials {
+			scores[i] = tr.Score
+		}
+		for li, level := range HillWidthLevels {
+			sums[li] += float64(widthAt(scores, level, stride))
+		}
 	}
+	widths := make([]float64, len(HillWidthLevels))
+	for i := range widths {
+		widths[i] = sums[i] / float64(len(epochs))
+	}
+	return widths
 }
 
-// HillWidths runs OFF-LINE on each 2-thread workload and measures the
-// sharpness of its per-epoch performance hills (Figure 7). The per-epoch
-// trial curves come from the exhaustive search itself (Figure 6 is one
-// such curve).
+// HillWidths measures the sharpness of OFF-LINE's per-epoch performance
+// hills on each 2-thread workload (Figure 7). The widths come with the
+// OFF-LINE job itself (Figure 6 is one of its trial curves), so after
+// Figure 4 on the same engine this simulates nothing.
 func HillWidths(cfg Config, loads []workload.Workload) []HillWidthRow {
-	solos := soloBatch(cfg, loads)
-	var jobs []sweep.Job[[]float64]
-	for _, w := range loads {
-		jobs = append(jobs, hillWidthJob(cfg, w, singlesFor(solos, w)))
-	}
-	runs := mustRun(jobs)
-
+	runs := offLineBatch(cfg, loads, soloBatch(cfg, loads))
 	rows := make([]HillWidthRow, 0, len(loads))
 	for _, w := range loads {
 		rows = append(rows, HillWidthRow{
-			Workload: w.Name(), Group: w.Group, Width: runs[hillWidthKey(cfg, w)],
+			Workload: w.Name(), Group: w.Group, Width: runs[offLineKey(cfg, w)].Widths,
 		})
 	}
 	return rows

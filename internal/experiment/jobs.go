@@ -13,7 +13,9 @@ import (
 // resultsVersion is folded into every job key. Bump it whenever the
 // simulator or the experiment semantics change in a result-affecting
 // way, so stale disk-cache entries from older builds are never reused.
-const resultsVersion = 1
+// Version 2 made the OFF-LINE result an object carrying Figure 7's hill
+// widths next to the IPCs.
+const resultsVersion = 2
 
 // engine executes every experiment's simulation jobs. The default runs
 // parallel with no disk cache; cmd/experiments installs a configured one
@@ -95,6 +97,15 @@ func soloJob(app string, cycles int) sweep.Job[float64] {
 // soloBatch computes the stand-alone IPC of every distinct member
 // application of loads through the engine, returning app name -> IPC.
 func soloBatch(cfg Config, loads []workload.Workload) map[string]float64 {
+	out, err := solosOn(runCtx, engine, cfg, loads)
+	if err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// solosOn is soloBatch on an explicit engine and context.
+func solosOn(ctx context.Context, eng *sweep.Engine, cfg Config, loads []workload.Workload) (map[string]float64, error) {
 	var jobs []sweep.Job[float64]
 	seen := map[string]bool{}
 	for _, w := range loads {
@@ -105,12 +116,15 @@ func soloBatch(cfg Config, loads []workload.Workload) map[string]float64 {
 			}
 		}
 	}
-	res := mustRun(jobs)
+	res, err := sweep.Run(ctx, eng, jobs)
+	if err != nil {
+		return nil, err
+	}
 	out := make(map[string]float64, len(seen))
 	for app := range seen {
 		out[app] = res[soloKey(app, cfg.SoloCycles)]
 	}
-	return out
+	return out, nil
 }
 
 // singlesFor assembles a workload's per-thread SingleIPC vector from a
@@ -168,7 +182,8 @@ func hillJob(cfg Config, w workload.Workload, feedback metrics.Kind) sweep.Job[[
 
 // offLineKey identifies one OFF-LINE ideal run. Its trial scoring reads
 // the reference singles, which are fully determined by the workload's
-// apps plus SoloCycles, so SoloCycles stands in for them in the key.
+// apps plus SoloCycles, so SoloCycles stands in for them in the key. The
+// hill-width levels are constants, covered by resultsVersion.
 func offLineKey(cfg Config, w workload.Workload) string {
 	return sweep.KeyFrom(keyPrefix("offline"), map[string]string{
 		"wl":     w.Name(),
@@ -180,13 +195,24 @@ func offLineKey(cfg Config, w workload.Workload) string {
 	})
 }
 
-func offLineJob(cfg Config, w workload.Workload, singles []float64) sweep.Job[[]float64] {
-	return sweep.Job[[]float64]{
+func offLineJob(cfg Config, w workload.Workload, singles []float64) sweep.Job[offLineResult] {
+	return sweep.Job[offLineResult]{
 		Key: offLineKey(cfg, w),
-		Run: func(context.Context) ([]float64, error) {
+		Run: func(context.Context) (offLineResult, error) {
 			return runOffLine(cfg, w, singles), nil
 		},
 	}
+}
+
+// offLineBatch runs the OFF-LINE search of every workload in loads as
+// one batch. Figures 4, 7 and 11 all call it, so under one engine each
+// workload is searched once.
+func offLineBatch(cfg Config, loads []workload.Workload, solos map[string]float64) map[string]offLineResult {
+	jobs := make([]sweep.Job[offLineResult], 0, len(loads))
+	for _, w := range loads {
+		jobs = append(jobs, offLineJob(cfg, w, singlesFor(solos, w)))
+	}
+	return mustRun(jobs)
 }
 
 // randHillKey identifies one RAND-HILL ideal run (same singles

@@ -1,9 +1,7 @@
 package experiment
 
 import (
-	"context"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"smthill/internal/multicore"
@@ -18,14 +16,6 @@ import (
 // pairing policy re-grouping threads at reallocation points. The
 // comparison axis is the pairing policy — random (the control arm),
 // ipc-pred, and stall-pred — scored by aggregate IPC.
-
-// McPairResult is one multi-core pairing run's cached outcome.
-type McPairResult struct {
-	TotalIPC   float64   `json:"total_ipc"`
-	CoreIPC    []float64 `json:"core_ipc"`
-	Migrations uint64    `json:"migrations"`
-	L3MissRate float64   `json:"l3_miss_rate"`
-}
 
 // MulticoreWorkloads returns the workload set for an M-core run: mixes
 // of 2*M applications spanning the ILP/MEM spectrum, built from the
@@ -58,9 +48,12 @@ func MulticoreWorkloads(cores int) []workload.Workload {
 	return out
 }
 
-// mcpairSpec builds the simjob spec for one multi-core pairing run. The
-// workload travels as the comma-separated application list, the one
-// spelling workload.Parse accepts for any mix.
+// mcpairSpec builds the simjob spec for one multi-core pairing run; its
+// Key is the job's key and simjob.Result its result, so a fabric worker
+// or smtserved runs it like any other spec. The workload travels as the
+// comma-separated application list, the one spelling workload.Parse
+// accepts for any mix. Seed stays 0, so workload, geometry, core count
+// and pairing policy fully determine the result.
 func mcpairSpec(cfg Config, w workload.Workload, cores int, pairing string) simjob.Spec {
 	return simjob.Spec{
 		Workload:  strings.Join(w.Apps, ","),
@@ -73,47 +66,15 @@ func mcpairSpec(cfg Config, w workload.Workload, cores int, pairing string) simj
 	}
 }
 
-// mcpairKey identifies one multi-core pairing run. The runs go through
-// simjob with Seed 0, so workload, geometry, core count, and pairing
-// policy fully determine the result.
-func mcpairKey(cfg Config, w workload.Workload, cores int, pairing string) string {
-	return sweep.KeyFrom(keyPrefix("mcpair"), map[string]string{
-		"wl":    strings.Join(w.Apps, ","),
-		"pair":  pairing,
-		"cores": strconv.Itoa(cores),
-		"es":    strconv.Itoa(cfg.EpochSize),
-		"ep":    strconv.Itoa(cfg.Epochs),
-		"wu":    strconv.Itoa(cfg.WarmupEpochs),
-	})
-}
-
-func mcpairJob(cfg Config, w workload.Workload, cores int, pairing string) sweep.Job[McPairResult] {
-	return sweep.Job[McPairResult]{
-		Key: mcpairKey(cfg, w, cores, pairing),
-		Run: func(ctx context.Context) (McPairResult, error) {
-			res, err := simjob.Run(ctx, mcpairSpec(cfg, w, cores, pairing), tele)
-			if err != nil {
-				return McPairResult{}, err
-			}
-			return McPairResult{
-				TotalIPC:   res.TotalIPC,
-				CoreIPC:    res.CoreIPC,
-				Migrations: res.Migrations,
-				L3MissRate: res.L3MissRate,
-			}, nil
-		},
-	}
-}
-
 // McPair runs every pairing policy over the multicore workload sets of
 // the given core counts and returns one row per (core count, workload)
 // with aggregate IPC per policy. Rows group as "<M>core".
 func McPair(cfg Config, coreCounts []int) []CompareRow {
-	var jobs []sweep.Job[McPairResult]
+	var jobs []sweep.Job[simjob.Result]
 	for _, cores := range coreCounts {
 		for _, w := range MulticoreWorkloads(cores) {
 			for _, pairing := range multicore.PairingNames() {
-				jobs = append(jobs, mcpairJob(cfg, w, cores, pairing))
+				jobs = append(jobs, simjob.Job(mcpairSpec(cfg, w, cores, pairing), tele))
 			}
 		}
 	}
@@ -127,7 +88,7 @@ func McPair(cfg Config, coreCounts []int) []CompareRow {
 				Scores:   map[string]float64{},
 			}
 			for _, pairing := range multicore.PairingNames() {
-				row.Scores[pairing] = res[mcpairKey(cfg, w, cores, pairing)].TotalIPC
+				row.Scores[pairing] = res[mcpairSpec(cfg, w, cores, pairing).Key()].TotalIPC
 			}
 			rows = append(rows, row)
 		}

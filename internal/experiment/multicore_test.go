@@ -2,8 +2,6 @@ package experiment
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"testing"
 
 	"smthill/internal/sweep"
@@ -30,57 +28,6 @@ func TestMcPairParallelByteIdentical(t *testing.T) {
 	}
 	if serial == "" {
 		t.Fatal("mcpair rendered nothing")
-	}
-}
-
-// TestMcPairExecKey: mcpair job keys are executable by key, the
-// property the distributed fabric needs, and the bytes match a native
-// run of the same job.
-func TestMcPairExecKey(t *testing.T) {
-	cfg := tiny()
-	cfg.Epochs = 2
-	w := MulticoreWorkloads(2)[0]
-	key := mcpairKey(cfg, w, 2, "stall-pred")
-
-	eng := sweep.NewEngine(2)
-	raw, ok, err := ExecKeyOn(context.Background(), eng, key)
-	if err != nil || !ok {
-		t.Fatalf("ExecKeyOn(%q) = ok=%v err=%v", key, ok, err)
-	}
-	var res McPairResult
-	if err := json.Unmarshal(raw, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.TotalIPC <= 0 || len(res.CoreIPC) != 2 {
-		t.Fatalf("exec-by-key result = %+v", res)
-	}
-
-	var native McPairResult
-	withEngine(sweep.NewEngine(1), func() {
-		native = mustRun([]sweep.Job[McPairResult]{mcpairJob(cfg, w, 2, "stall-pred")})[key]
-	})
-	nb, err := json.Marshal(native)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(nb) != string(raw) {
-		t.Fatalf("exec-by-key bytes differ from native run:\n%s\n%s", raw, nb)
-	}
-}
-
-// TestMcPairExecKeyRejectsBadParams: a key naming the family but
-// carrying a broken parameter set errors instead of silently running
-// something else.
-func TestMcPairExecKeyRejectsBadParams(t *testing.T) {
-	for _, key := range []string{
-		"v1|mcpair|wl=art,mcf|es=1024|ep=2|wu=1",                             // missing cores/pair
-		"v1|mcpair|wl=art,mcf|pair=ipc-pred|cores=x|es=1024|ep=2|wu=1",       // bad cores
-		"v1|mcpair|wl=no-such-app,art|pair=random|cores=1|es=1024|ep=2|wu=1", // unknown app
-	} {
-		_, ok, err := ExecKeyOn(context.Background(), sweep.NewEngine(1), key)
-		if !ok || err == nil {
-			t.Errorf("ExecKeyOn(%q) = ok=%v err=%v, want ok=true with error", key, ok, err)
-		}
 	}
 }
 

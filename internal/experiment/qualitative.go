@@ -5,6 +5,7 @@ import (
 
 	"smthill/internal/core"
 	"smthill/internal/metrics"
+	"smthill/internal/policy"
 	"smthill/internal/resource"
 	"smthill/internal/stats"
 	"smthill/internal/workload"
@@ -66,7 +67,7 @@ func qualitativeScenario(cfg Config, name, subject, partner string) QualitativeR
 	}
 
 	// DCRA on the same workload, sampling the subject's cap per epoch.
-	md := w.NewMachine(pipelinePolicy("DCRA"))
+	md := w.NewMachine(policy.ByName("DCRA"))
 	md.CycleN(cfg.WarmupEpochs * cfg.EpochSize)
 	base := commitVector(md)
 	var dcraShares, dcraScores []float64

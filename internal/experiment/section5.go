@@ -2,8 +2,8 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 	"io"
+	"strconv"
 
 	"smthill/internal/core"
 	"smthill/internal/metrics"
@@ -37,8 +37,12 @@ type phaseHillResult struct {
 // phaseHillKey identifies one Section 5 run; like plain hill-climbing it
 // samples SingleIPC on-line, so only the epoch geometry matters.
 func phaseHillKey(cfg Config, w workload.Workload) string {
-	return fmt.Sprintf("v%d|phasehill|wl=%s|es=%d|ep=%d|wu=%d",
-		resultsVersion, w.Name(), cfg.EpochSize, cfg.Epochs, cfg.WarmupEpochs)
+	return sweep.KeyFrom(keyPrefix("phasehill"), map[string]string{
+		"wl": w.Name(),
+		"es": strconv.Itoa(cfg.EpochSize),
+		"ep": strconv.Itoa(cfg.Epochs),
+		"wu": strconv.Itoa(cfg.WarmupEpochs),
+	})
 }
 
 // phaseHillJob measures the Section 5 technique on w.
@@ -79,8 +83,8 @@ func Section5(cfg Config, loads []workload.Workload) []Section5Row {
 			Workload:  w.Name(),
 			Group:     w.Group,
 			Behaviour: PredictBehaviour(DeriveLabel(w)),
-			Hill:      endScore(metrics.WeightedIPC, hills[hillKey(cfg, w, metrics.WeightedIPC)], singles),
-			PhaseHill: endScore(metrics.WeightedIPC, ph.IPC, singles),
+			Hill:      metrics.WeightedIPC.Eval(hills[hillKey(cfg, w, metrics.WeightedIPC)], singles),
+			PhaseHill: metrics.WeightedIPC.Eval(ph.IPC, singles),
 			Phases:    ph.Phases,
 			Jumps:     ph.Jumps,
 		})

@@ -2,9 +2,9 @@ package experiment
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"sort"
+	"strconv"
 
 	"smthill/internal/resource"
 	"smthill/internal/sweep"
@@ -58,7 +58,10 @@ func rscSweep(app workload.App, cycles int, frac float64) (full float64, rsc int
 // table2Key identifies one application's characterisation run; both the
 // solo machine and the requirement sweep are sized by SoloCycles.
 func table2Key(cfg Config, app string) string {
-	return fmt.Sprintf("v%d|table2|app=%s|sc=%d", resultsVersion, app, cfg.SoloCycles)
+	return sweep.KeyFrom(keyPrefix("table2"), map[string]string{
+		"app": app,
+		"sc":  strconv.Itoa(cfg.SoloCycles),
+	})
 }
 
 // table2Job characterises one application: a stand-alone run for the

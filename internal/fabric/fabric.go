@@ -7,9 +7,11 @@
 // The design leans entirely on the sweep package's determinism
 // contract: a job key uniquely determines its result, and results
 // round-trip JSON byte-exactly. Keys are therefore the only thing that
-// crosses the wire — a worker rebuilds the job from its key
-// (simjob.SpecFromKey, experiment.ExecKeyOn) and returns the engine's
-// stored bytes, which the coordinator adopts verbatim. Distribution is
+// crosses the wire — a worker rebuilds the job from its key through
+// experiment.ExecKeyOn, the one executor for every key family (simjob
+// specs and the experiment jobs alike), and returns the engine's stored
+// bytes, which the coordinator adopts verbatim. ExecKeyOn refuses a key
+// that does not rebuild to itself before anything runs. Distribution is
 // an optimisation, never a correctness dependency: any failure
 // (unreachable worker, version skew, unknown key family) falls back to
 // local computation and produces the same bytes.

@@ -12,7 +12,6 @@ import (
 
 	"smthill/internal/experiment"
 	"smthill/internal/obs"
-	"smthill/internal/simjob"
 	"smthill/internal/sweep"
 )
 
@@ -55,9 +54,9 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 
 // Worker is a fabric execution node: it registers with the coordinator,
 // heartbeats liveness and queue depth, and serves /fabric/v1/exec by
-// rebuilding jobs from their keys on its local engine. Simulation specs
-// resolve through simjob.SpecFromKey, experiment families through
-// experiment.ExecKeyOn; a key neither recognises is refused (the
+// rebuilding jobs from their keys on its local engine through
+// experiment.ExecKeyOn, which runs simulation specs and experiment
+// families alike; a key it does not recognise is refused (the
 // coordinator then computes it locally).
 type Worker struct {
 	cfg     WorkerConfig
@@ -170,32 +169,10 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// execKey resolves one key: warm engine state first, then the simjob
-// family, then the experiment families.
+// execKey resolves one key: warm engine state first, then
+// experiment.ExecKeyOn, the one executor for every key family.
 func (w *Worker) execKey(ctx context.Context, key string) (json.RawMessage, bool, error) {
 	if raw, _, ok := w.eng.Lookup(ctx, key); ok {
-		return raw, true, nil
-	}
-	spec, ok, err := simjob.SpecFromKey(key)
-	if err != nil {
-		return nil, true, err
-	}
-	if ok {
-		jobs := []sweep.Job[simjob.Result]{{
-			Key: key,
-			Run: func(ctx context.Context) (simjob.Result, error) {
-				// No sink: a worker's result is the stored simjob.Result,
-				// so no telemetry recorder is attached.
-				return simjob.Run(ctx, spec, nil)
-			},
-		}}
-		if _, err := sweep.Run(ctx, w.eng, jobs); err != nil {
-			return nil, true, err
-		}
-		raw, _, ok := w.eng.Lookup(ctx, key)
-		if !ok {
-			return nil, true, fmt.Errorf("fabric: %s produced no cacheable result", key)
-		}
 		return raw, true, nil
 	}
 	return experiment.ExecKeyOn(ctx, w.eng, key)

@@ -375,14 +375,8 @@ func (s *Server) runSim(ctx context.Context, j *job) {
 	s.watch(j.key, j)
 	defer s.unwatch(j.key, j)
 
-	jobs := []sweep.Job[simjob.Result]{{
-		Key: j.key,
-		Run: func(ctx context.Context) (simjob.Result, error) {
-			// Epoch events reach the job's SSE stream through sink.
-			return simjob.Run(ctx, j.spec, sink)
-		},
-	}}
-	res, err := sweep.Run(ctx, s.eng, jobs)
+	// Epoch events reach the job's SSE stream through sink.
+	res, err := sweep.Run(ctx, s.eng, []sweep.Job[simjob.Result]{simjob.Job(j.spec, sink)})
 	if r, ok := res[j.key]; ok {
 		// Completed even if the context fired during teardown.
 		s.metrics.observeSim(r)

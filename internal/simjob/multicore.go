@@ -8,54 +8,9 @@ import (
 	"smthill/internal/metrics"
 	"smthill/internal/multicore"
 	"smthill/internal/pipeline"
-	"smthill/internal/policy"
-	"smthill/internal/resource"
 	"smthill/internal/telemetry"
 	"smthill/internal/workload"
 )
-
-// buildCores constructs one policy and distributor per core for a
-// multi-core spec — the per-core analogue of buildWorkload. Every core
-// runs the same technique over its own 2-context pipeline; the learning
-// techniques get an independent climber per core (the inner level of
-// the two-level search).
-func buildCores(s Spec) ([]pipeline.Policy, []core.Distributor, metrics.Kind, error) {
-	renameRegs := resource.DefaultSizes()[resource.IntRename]
-	pols := make([]pipeline.Policy, s.Cores)
-	dists := make([]core.Distributor, s.Cores)
-	var feedback metrics.Kind
-	for c := 0; c < s.Cores; c++ {
-		switch s.Tech {
-		case "ICOUNT", "STALL", "FLUSH", "DCRA":
-			pols[c] = policy.ByName(s.Tech)
-			dists[c] = core.None{Label: s.Tech}
-			feedback = metrics.WeightedIPC
-		case "STATIC":
-			dists[c] = core.NewStatic(multicore.ContextsPerCore, renameRegs)
-			feedback = metrics.WeightedIPC
-		case "HILL-IPC", "HILL-WIPC", "HILL-HWIPC":
-			metric := metrics.WeightedIPC
-			switch s.Tech {
-			case "HILL-IPC":
-				metric = metrics.AvgIPC
-			case "HILL-HWIPC":
-				metric = metrics.HmeanWeightedIPC
-			}
-			h := core.NewHillClimber(multicore.ContextsPerCore, renameRegs, metric)
-			h.Delta = s.Delta
-			dists[c] = h
-			feedback = metric
-		case "STEEP-WIPC":
-			st := core.NewSteepest(multicore.ContextsPerCore, renameRegs, metrics.WeightedIPC)
-			st.Delta = s.Delta
-			dists[c] = st
-			feedback = metrics.WeightedIPC
-		default:
-			return nil, nil, 0, fmt.Errorf("simjob: technique %q is not available on multi-core runs", s.Tech)
-		}
-	}
-	return pols, dists, feedback, nil
-}
 
 // runMulticore is RunWorkload's Cores > 1 path: a lock-step
 // multicore.System with a per-core runner each (the inner hill-climbing
@@ -72,9 +27,16 @@ func runMulticore(ctx context.Context, w workload.Workload, s Spec, sink telemet
 	if err != nil {
 		return Result{}, err
 	}
-	pols, dists, feedback, err := buildCores(s)
-	if err != nil {
-		return Result{}, err
+	// Every core runs the same technique over its own 2-context
+	// pipeline; the learners get an independent climber per core (the
+	// inner level of the two-level search).
+	pols := make([]pipeline.Policy, s.Cores)
+	dists := make([]core.Distributor, s.Cores)
+	var feedback metrics.Kind
+	for c := range pols {
+		if pols[c], dists[c], feedback, err = technique(s, multicore.ContextsPerCore); err != nil {
+			return Result{}, err
+		}
 	}
 
 	sys := multicore.New(multicore.DefaultConfig(s.Cores), w.Streams(), pols)

@@ -377,35 +377,45 @@ func (s Spec) Resolve() (workload.Workload, error) {
 // buildWorkload wires the machine for an already-resolved workload.
 // s must be normalized and shape-valid.
 func buildWorkload(w workload.Workload, s Spec) (*pipeline.Machine, core.Distributor, metrics.Kind, error) {
+	pol, dist, feedback, err := technique(s, w.Threads())
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	m := w.NewMachine(pol)
+	if st, ok := dist.(*core.Steepest); ok {
+		st.M = m
+	}
+	return m, dist, feedback, nil
+}
+
+// technique is the one technique table: it builds the per-cycle policy
+// (nil unless s.Tech is a baseline), the distributor, and the feedback
+// metric for one machine of the given thread count. The single-core
+// path and every core of a multi-core run build through it.
+func technique(s Spec, threads int) (pipeline.Policy, core.Distributor, metrics.Kind, error) {
 	renameRegs := resource.DefaultSizes()[resource.IntRename]
 	switch s.Tech {
 	case "ICOUNT", "STALL", "FLUSH", "DCRA":
-		m := w.NewMachine(policy.ByName(s.Tech))
-		return m, core.None{Label: s.Tech}, metrics.WeightedIPC, nil
+		return policy.ByName(s.Tech), core.None{Label: s.Tech}, metrics.WeightedIPC, nil
 	case "STATIC":
-		return w.NewMachine(nil), core.NewStatic(w.Threads(), renameRegs), metrics.WeightedIPC, nil
-	case "HILL-IPC":
-		h := core.NewHillClimber(w.Threads(), renameRegs, metrics.AvgIPC)
+		return nil, core.NewStatic(threads, renameRegs), metrics.WeightedIPC, nil
+	case "HILL-IPC", "HILL-WIPC", "HILL-HWIPC":
+		metric := map[string]metrics.Kind{
+			"HILL-IPC":   metrics.AvgIPC,
+			"HILL-WIPC":  metrics.WeightedIPC,
+			"HILL-HWIPC": metrics.HmeanWeightedIPC,
+		}[s.Tech]
+		h := core.NewHillClimber(threads, renameRegs, metric)
 		h.Delta = s.Delta
-		return w.NewMachine(nil), h, metrics.AvgIPC, nil
-	case "HILL-WIPC":
-		h := core.NewHillClimber(w.Threads(), renameRegs, metrics.WeightedIPC)
-		h.Delta = s.Delta
-		return w.NewMachine(nil), h, metrics.WeightedIPC, nil
-	case "HILL-HWIPC":
-		h := core.NewHillClimber(w.Threads(), renameRegs, metrics.HmeanWeightedIPC)
-		h.Delta = s.Delta
-		return w.NewMachine(nil), h, metrics.HmeanWeightedIPC, nil
+		return nil, h, metric, nil
 	case "HILL-PHASE":
-		ph := core.NewPhaseHill(w.Threads(), renameRegs, metrics.WeightedIPC)
+		ph := core.NewPhaseHill(threads, renameRegs, metrics.WeightedIPC)
 		ph.Hill.Delta = s.Delta
-		return w.NewMachine(nil), ph, metrics.WeightedIPC, nil
+		return nil, ph, metrics.WeightedIPC, nil
 	case "STEEP-WIPC":
-		st := core.NewSteepest(w.Threads(), renameRegs, metrics.WeightedIPC)
+		st := core.NewSteepest(threads, renameRegs, metrics.WeightedIPC)
 		st.Delta = s.Delta
-		m := w.NewMachine(nil)
-		st.M = m
-		return m, st, metrics.WeightedIPC, nil
+		return nil, st, metrics.WeightedIPC, nil
 	}
 	return nil, nil, 0, fmt.Errorf("simjob: unknown technique %q", s.Tech)
 }
@@ -441,6 +451,17 @@ func Run(ctx context.Context, s Spec, sink telemetry.Sink) (Result, error) {
 		return Result{}, err
 	}
 	return RunWorkload(ctx, w, s, sink, false)
+}
+
+// Job is s as one sweep job keyed by s.Key(), so every caller that
+// memoises simulation results (the daemon, the experiments, a fabric
+// worker) shares one cache entry per spec. sink receives the run's
+// telemetry and never changes the Result.
+func Job(s Spec, sink telemetry.Sink) sweep.Job[Result] {
+	return sweep.Job[Result]{
+		Key: s.Key(),
+		Run: func(ctx context.Context) (Result, error) { return Run(ctx, s, sink) },
+	}
 }
 
 // RunWorkload is Run for an already-resolved workload — the entry point
