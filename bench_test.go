@@ -443,8 +443,8 @@ func BenchmarkMachineBatchSequentialBaseline(b *testing.B) {
 	b.ReportMetric(float64(done)/b.Elapsed().Seconds(), "cycles/sec")
 }
 
-// BenchmarkMachineBatchParallel is the same round shape with the batch's
-// persistent workers spread across the host's CPUs. Skipped on a
+// BenchmarkMachineBatchParallel is the same round shape with each
+// lock-step chunk spread over one goroutine per host CPU. Skipped on a
 // single-CPU host, where lock-step parallelism has nothing to run on —
 // the serial benchmark above is the tracked metric precisely because it
 // is host-shape independent.
@@ -456,11 +456,9 @@ func BenchmarkMachineBatchParallel(b *testing.B) {
 	src := w.NewMachine(nil)
 	src.CycleN(20_000)
 	batch := pipeline.BatchFrom(src, batchBenchK)
-	batch.SetParallel(runtime.GOMAXPROCS(0))
-	defer batch.Close()
 	round := func() {
 		batch.Refill(nil)
-		batch.CycleAllN(batchBenchEpoch)
+		batch.CycleFirstN(batchBenchK, batchBenchEpoch, runtime.GOMAXPROCS(0))
 	}
 	round()
 	round()

@@ -44,7 +44,7 @@ func main() {
 		paper      = flag.Bool("paper", false, "use the paper-scale configuration (slow)")
 		loadsFlag  = flag.String("workloads", "", "comma-separated workload subset (default: the experiment's own set)")
 		wl         = flag.String("fig12-workload", "mcf-eon", "workload for fig12")
-		jobs       = flag.Int("j", 0, "max parallel simulations (0 = GOMAXPROCS)")
+		jobs       = flag.Int("j", 0, "max parallel simulations (0 = GOMAXPROCS); CPUs they leave idle run trial waves in parallel")
 		cacheDir   = flag.String("cache-dir", "", "on-disk result cache directory (empty = no cache)")
 		progress   = flag.Bool("progress", false, "report per-simulation progress on stderr")
 		jsonRows   = flag.Bool("json", false, "emit JSON lines instead of tables for fig4/fig9/fig11")

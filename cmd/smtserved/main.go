@@ -67,7 +67,7 @@ func main() {
 func run() int {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		workers      = flag.Int("j", 0, "job worker pool size (0 = GOMAXPROCS)")
+		workers      = flag.Int("j", 0, "job worker pool size (0 = GOMAXPROCS); CPUs it leaves idle run trial waves in parallel")
 		queueDepth   = flag.Int("queue", 64, "job queue capacity (submissions beyond it get 429)")
 		cacheDir     = flag.String("cache-dir", "", "on-disk result cache directory (empty = in-memory memo only)")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job execution timeout")

@@ -4,6 +4,7 @@ import (
 	"smthill/internal/metrics"
 	"smthill/internal/pipeline"
 	"smthill/internal/resource"
+	"smthill/internal/sweep"
 	"smthill/internal/telemetry"
 )
 
@@ -18,8 +19,10 @@ const DefaultTrialBatch = 8
 // Probe is the one way to evaluate trials: it runs candidates for a
 // fixed horizon each from a checkpoint, on a lazily built
 // pipeline.MachineBatch whose members are refilled in place, so sibling
-// trials share trace generation and decode. OFF-LINE, RAND-HILL,
-// Steepest and the figure oracles all probe through it.
+// trials share trace generation and decode. Each wave also borrows the
+// CPUs the process-wide budget (sweep.BorrowCPUs) has idle and spreads
+// its members over them. OFF-LINE, RAND-HILL, Steepest and the figure
+// oracles all probe through it.
 type Probe struct {
 	// K is the batch size, fixed at the first Run; DefaultTrialBatch
 	// when 0.
@@ -46,11 +49,20 @@ func (p *Probe) Run(src *pipeline.Machine, n, cycles int, setup, read func(i int
 		for j := 0; j < w; j++ {
 			setup(lo+j, p.b.Member(j))
 		}
-		p.b.CycleFirstN(w, cycles)
+		p.wave(w, cycles)
 		for j := 0; j < w; j++ {
 			read(lo+j, p.b.Member(j))
 		}
 	}
+}
+
+// wave advances the first w members by cycles on the CPUs the budget
+// has idle: it borrows up to w-1 slots, without waiting, and returns
+// them when the wave ends.
+func (p *Probe) wave(w, cycles int) {
+	cpus := sweep.BorrowCPUs(w - 1)
+	defer sweep.ReturnCPUs(cpus)
+	p.b.CycleFirstN(w, cycles, 1+cpus)
 }
 
 // trialBatch is what a checkpoint searcher keeps across epochs: the

@@ -18,6 +18,7 @@ package pipeline
 
 import (
 	"fmt"
+	"sync"
 
 	"smthill/internal/isa"
 )
@@ -39,17 +40,6 @@ type MachineBatch struct {
 	members []*Machine
 	// feeds holds one shared fan-out per hardware context seat.
 	feeds []*isa.Fanout
-
-	// workers > 1 runs each lock-step chunk's members on persistent
-	// worker goroutines (multi-core hosts); 1 runs them serially.
-	workers int
-	work    chan batchSpan
-	ack     chan struct{}
-}
-
-// batchSpan is one worker's assignment for one lock-step chunk.
-type batchSpan struct {
-	lo, hi, cycles int
 }
 
 // BatchFrom builds a K-member batch over src. It takes over src's
@@ -64,7 +54,6 @@ func BatchFrom(src *Machine, k int) *MachineBatch {
 	b := &MachineBatch{
 		src:     src,
 		members: make([]*Machine, k),
-		workers: 1,
 	}
 	b.adoptSource(src)
 	for i := range b.members {
@@ -161,109 +150,94 @@ func (b *MachineBatch) CycleAll() {
 	}
 }
 
-// CycleAllN advances every member n cycles in lock-step chunks.
-func (b *MachineBatch) CycleAllN(n int) { b.CycleFirstN(len(b.members), n) }
+// CycleAllN advances every member n cycles in lock-step chunks, serially.
+func (b *MachineBatch) CycleAllN(n int) { b.CycleFirstN(len(b.members), n, 1) }
 
 // CycleFirstN advances only members [0, k) by n cycles in lock-step
-// chunks — the partial-wave companion of RefillN.
-func (b *MachineBatch) CycleFirstN(k, n int) {
-	if k > len(b.members) {
-		k = len(b.members)
+// chunks — the partial-wave companion of RefillN — spreading each
+// chunk's members over w goroutines, the caller's included. The
+// fan-out windows are pre-filled and frozen for the duration of a
+// chunk, so the goroutines share only read-only state; execution is
+// bit-identical to the serial order because members never communicate.
+// Members attached to a shared L3 (mutable shared state) run serially
+// whatever w is; probe members detach it first.
+func (b *MachineBatch) CycleFirstN(k, n, w int) {
+	k = min(k, len(b.members))
+	w = min(w, k)
+	if w > 1 && b.sharesL3(k) {
+		w = 1
 	}
 	for done := 0; done < n; {
-		c := DefaultBatchChunk
-		if c > n-done {
-			c = n - done
-		}
-		if b.workers > 1 && k > 1 {
-			b.chunkParallel(k, c)
+		c := min(DefaultBatchChunk, n-done)
+		if w > 1 {
+			b.chunkParallel(k, c, w)
 		} else {
-			for i := 0; i < k; i++ {
-				b.members[i].CycleN(c)
-			}
+			b.cycleSpan(0, k, c)
 		}
 		done += c
 	}
 }
 
-// SetParallel runs each lock-step chunk's members on w persistent worker
-// goroutines. The fan-out windows are pre-filled and frozen for the
-// duration of a chunk, so workers share only read-only state; execution
-// is bit-identical to the serial order because members never communicate.
-// w <= 1 restores serial mode. Call Close when done with a parallel
-// batch to stop the workers. Machines attached to a shared L3 refuse
-// parallel mode: the L3 is mutable shared state.
-func (b *MachineBatch) SetParallel(w int) {
-	if w > len(b.members) {
-		w = len(b.members)
-	}
-	if w <= 1 {
-		b.Close()
-		b.workers = 1
-		return
-	}
-	for _, m := range b.members {
+// Close does nothing: a batch holds no goroutine between calls. It is
+// kept only because the perfbench module still calls it.
+func (b *MachineBatch) Close() {}
+
+// sharesL3 reports whether any of members [0, k) is attached to a
+// shared L3.
+func (b *MachineBatch) sharesL3(k int) bool {
+	for _, m := range b.members[:k] {
 		if m.mem.L3() != nil {
-			panic("pipeline: parallel MachineBatch over a shared L3")
+			return true
 		}
 	}
-	b.Close()
-	b.workers = w
-	b.work = make(chan batchSpan)
-	b.ack = make(chan struct{})
-	for i := 0; i < w; i++ {
-		go b.worker()
+	return false
+}
+
+// cycleSpan advances members [lo, hi) by c cycles each.
+func (b *MachineBatch) cycleSpan(lo, hi, c int) {
+	for _, m := range b.members[lo:hi] {
+		m.CycleN(c)
 	}
 }
 
-// Close stops the persistent workers of a parallel batch (no-op in
-// serial mode). The batch remains usable serially afterwards.
-func (b *MachineBatch) Close() {
-	if b.work != nil {
-		close(b.work)
-		b.work, b.ack = nil, nil
-	}
-	b.workers = 1
-}
-
-func (b *MachineBatch) worker() {
-	for s := range b.work {
-		for i := s.lo; i < s.hi; i++ {
-			b.members[i].CycleN(s.cycles)
-		}
-		b.ack <- struct{}{}
-	}
-}
-
-// chunkParallel runs one chunk of c cycles for members [0, k) across the
-// persistent workers. The fetch stage pulls at most FetchWidth
+// chunkParallel runs one chunk of c cycles for members [0, k) in w
+// spans: w-1 on fresh goroutines, the first on the caller, joined
+// before it returns. The fetch stage pulls at most FetchWidth
 // instructions per seat per cycle, so pre-filling each window to
-// maxPos + c*FetchWidth guarantees no worker ever touches the source.
-func (b *MachineBatch) chunkParallel(k, c int) {
+// maxPos + c*FetchWidth guarantees no span ever touches the source. A
+// panic in a span is re-raised on the caller once every span is done.
+func (b *MachineBatch) chunkParallel(k, c, w int) {
 	for t, f := range b.feeds {
 		var maxPos uint64
-		for i := 0; i < k; i++ {
-			if r, ok := b.members[i].threads[t].stream.(*isa.FanoutReader); ok && r.Pos() > maxPos {
+		for _, m := range b.members[:k] {
+			if r, ok := m.threads[t].stream.(*isa.FanoutReader); ok && r.Pos() > maxPos {
 				maxPos = r.Pos()
 			}
 		}
 		f.Ensure(maxPos + uint64(c*b.src.cfg.FetchWidth))
 		f.Freeze(true)
 	}
-	per := (k + b.workers - 1) / b.workers
-	spans := 0
-	for lo := 0; lo < k; lo += per {
-		hi := lo + per
-		if hi > k {
-			hi = k
+	per := (k + w - 1) / w
+	panics := make([]any, w)
+	var wg sync.WaitGroup
+	defer func() {
+		wg.Wait()
+		for _, f := range b.feeds {
+			f.Freeze(false)
 		}
-		b.work <- batchSpan{lo: lo, hi: hi, cycles: c}
-		spans++
+		for _, p := range panics {
+			if p != nil {
+				panic(p)
+			}
+		}
+	}()
+	for s, lo := 1, per; lo < k; s, lo = s+1, lo+per {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[s] = recover() }()
+			b.cycleSpan(lo, min(lo+per, k), c)
+		}()
 	}
-	for ; spans > 0; spans-- {
-		<-b.ack
-	}
-	for _, f := range b.feeds {
-		f.Freeze(false)
-	}
+	b.cycleSpan(0, per, c)
 }

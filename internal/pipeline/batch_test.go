@@ -130,37 +130,63 @@ func TestBatchSingleMemberReproducesGoldens(t *testing.T) {
 	}
 }
 
-// TestBatchParallelMatchesSerial runs the same configured batch twice —
-// serial and with 4 workers over frozen pre-filled windows — and
-// requires identical per-member final hashes. Under -race this also
-// proves the freeze discipline leaves workers sharing only read-only
-// state.
+// TestBatchParallelMatchesSerial runs the same configured batch serially
+// and spread over 2, 3 and 4 goroutines (uneven spans included) over
+// frozen pre-filled windows, and requires identical per-member final
+// hashes. Under -race this also proves the freeze discipline leaves the
+// spans sharing only read-only state.
 func TestBatchParallelMatchesSerial(t *testing.T) {
-	shares := climberShares(2, DefaultConfig(2).Resources[resource.IntRename], 4, 1)
+	shares := climberShares(2, DefaultConfig(2).Resources[resource.IntRename], 4, 2)
 	k := len(shares)
 	run := func(workers int) []uint64 {
 		s := wakeupScenarios()[0]
 		b := BatchFrom(New(DefaultConfig(2), s.streams(), nil), k)
-		defer b.Close()
-		if workers > 1 {
-			b.SetParallel(workers)
-		}
 		for i := 0; i < k; i++ {
 			b.Member(i).Resources().SetShares(shares[i])
 		}
-		b.CycleAllN(2500)
+		b.CycleFirstN(k, 2500, workers)
 		out := make([]uint64, k)
 		for i := range out {
 			out[i] = traceHash(b.Member(i))
 		}
 		return out
 	}
-	serial, parallel := run(1), run(4)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatalf("member %d: parallel hash %016x != serial %016x", i, parallel[i], serial[i])
+	serial := run(1)
+	for _, workers := range []int{2, 3, 4} {
+		parallel := run(workers)
+		for i := range serial {
+			if serial[i] != parallel[i] {
+				t.Fatalf("%d goroutines, member %d: parallel hash %016x != serial %016x", workers, i, parallel[i], serial[i])
+			}
 		}
 	}
+}
+
+// panicPolicy is ICOUNT that panics on its first cycle.
+type panicPolicy struct{ NilPolicy }
+
+func (panicPolicy) Cycle(*Machine) { panic("member diverged") }
+
+// TestBatchParallelPanicReachesCaller: a member panicking on a spawned
+// goroutine must not take down the process. The panic is re-raised on
+// the caller after every span has finished (the leak gate in TestMain
+// sees no straggler), and the windows are thawed so the batch keeps
+// working serially after a refill.
+func TestBatchParallelPanicReachesCaller(t *testing.T) {
+	s := wakeupScenarios()[0]
+	b := BatchFrom(New(DefaultConfig(2), s.streams(), nil), 4)
+	b.Member(3).SetPolicy(panicPolicy{})
+	func() {
+		defer func() {
+			if p := recover(); p != "member diverged" {
+				t.Fatalf("recovered %v, want the member's panic", p)
+			}
+		}()
+		b.CycleFirstN(4, 100, 4)
+		t.Fatal("CycleFirstN returned despite a panicking member")
+	}()
+	b.Refill(nil)
+	b.CycleAllN(100)
 }
 
 // TestBatchRefillCopyAdoption exercises the trial-loop protocol: refill

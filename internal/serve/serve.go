@@ -53,7 +53,9 @@ import (
 // a sensible default (see withDefaults).
 type Config struct {
 	// Workers is the size of the job worker pool and the sweep engine's
-	// parallelism (default: GOMAXPROCS).
+	// parallelism (default: GOMAXPROCS). Each computing job holds one of
+	// the process's GOMAXPROCS CPU slots; the slots no job holds go to
+	// the running jobs' trial waves (see sweep.BorrowCPUs).
 	Workers int
 	// QueueDepth bounds the FIFO job queue; submissions beyond it are
 	// rejected with 429 (default 64).

@@ -9,7 +9,9 @@
 //
 //   - parallelism: jobs run on a bounded worker pool (default
 //     runtime.GOMAXPROCS(0)) with per-job panic recovery and
-//     context.Context cancellation;
+//     context.Context cancellation; each running job holds one slot of
+//     the process-wide CPU budget, and trial waves inside a job borrow
+//     the slots no job holds (BorrowCPUs);
 //   - in-process memoisation: a job key identifies its result uniquely,
 //     so shared sub-results (the stand-alone Singles runs, baseline runs
 //     reused by several figures) are computed once per process;
@@ -371,9 +373,11 @@ func execute[R any](ctx context.Context, e *Engine, j Job[R]) (R, Source, error)
 
 // runSafe invokes the job, converting a panic into an error carrying the
 // job key and stack so one diverging simulation cannot take down the
-// whole sweep.
+// whole sweep. The job holds one CPU slot of the budget while it runs.
 func runSafe[R any](ctx context.Context, j Job[R]) (val R, err error) {
+	jobsRunning.Add(1)
 	defer func() {
+		jobsRunning.Add(-1)
 		if p := recover(); p != nil {
 			err = fmt.Errorf("sweep: job %s panicked: %v\n%s", j.Key, p, debug.Stack())
 		}
