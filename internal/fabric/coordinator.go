@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,14 +23,12 @@ type CoordinatorConfig struct {
 	// Store is the backing result store (default: a fresh MemStore).
 	// Wire the coordinator's disk cache here to persist across runs.
 	Store sweep.Backend
-	// HeartbeatTimeout is how long a silent worker stays in the ring
-	// before being reaped (default 10s).
+	// HeartbeatTimeout is how long a silent worker stays live before
+	// being reaped (default 10s).
 	HeartbeatTimeout time.Duration
 	// ExecTimeout bounds one dispatched job execution (default 10m,
 	// matching serve's job timeout).
 	ExecTimeout time.Duration
-	// Vnodes is the ring's virtual-node count per worker (default 64).
-	Vnodes int
 	// Client performs dispatch HTTP (default http.DefaultClient).
 	Client *http.Client
 	// Logf receives operational log lines (nil = discard).
@@ -67,26 +66,23 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	return c
 }
 
-// stealDepth triggers work-stealing: when the ring owner's reported
-// queue is more than stealDepth jobs deeper than the least-loaded
-// worker's, the job goes to the latter.
-const stealDepth = 4
-
-// member is the coordinator's view of one worker.
+// member is the coordinator's view of one worker. inflight counts the
+// dispatches this coordinator has outstanding on it: the only load
+// signal placement reads.
 type member struct {
 	id       string
 	addr     string
 	lastSeen time.Time
-	depth    int
+	inflight int
 	alive    bool
 }
 
 // Coordinator owns the fabric's control plane: worker membership and
-// liveness, the consistent-hash ring, the shared result store (served
-// over HTTP), and job dispatch. It implements sweep.Remote, so
-// installing it on an engine (sweep.SetRemote) makes every engine job
-// transparently eligible for distribution; any dispatch failure falls
-// back to local execution in the engine.
+// liveness, the shared result store (served over HTTP), and job
+// dispatch. It implements sweep.Remote, so installing it on an engine
+// (sweep.SetRemote) makes every engine job transparently eligible for
+// distribution; any dispatch failure falls back to local execution in
+// the engine.
 type Coordinator struct {
 	cfg CoordinatorConfig
 	now func() time.Time // injectable for liveness tests
@@ -98,11 +94,10 @@ type Coordinator struct {
 
 	mu      sync.Mutex
 	members map[string]*member // guarded by mu
-	ring    *Ring              // guarded by mu
 
 	reg            *obs.Registry
-	peersGauge     *obs.GaugeVec   // state
-	dispatches     *obs.CounterVec // kind
+	peersGauge     *obs.GaugeVec // state
+	dispatches     *obs.Counter
 	redispatched   *obs.Counter
 	dispatchFailed *obs.Counter
 	localFallback  *obs.Counter
@@ -124,12 +119,11 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		store:   &countingStore{Backend: cfg.Store},
 		fed:     obs.NewFederator(cfg.Client),
 		members: map[string]*member{},
-		ring:    NewRing(cfg.Vnodes),
 		reg:     reg,
 		peersGauge: reg.GaugeVec("smtserved_fabric_peers",
 			"registered workers by liveness state", "state"),
-		dispatches: reg.CounterVec("smtserved_fabric_dispatch_total",
-			"successful dispatches by placement kind", "kind"),
+		dispatches: reg.Counter("smtserved_fabric_dispatch_total",
+			"successful dispatches"),
 		redispatched: reg.Counter("smtserved_fabric_redispatch_total",
 			"dispatch attempts after the first, per job"),
 		dispatchFailed: reg.Counter("smtserved_fabric_dispatch_failed_total",
@@ -146,9 +140,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	// Materialize the full label vocabulary so zero-valued series render.
 	c.peersGauge.With("alive")
 	c.peersGauge.With("dead")
-	for _, k := range []string{"owner", "stolen"} {
-		c.dispatches.With(k)
-	}
 	c.storeSrv = NewStoreServer(c.store)
 	c.storeSrv.SetTracer(cfg.Tracer)
 	reg.Attach(c.storeSrv.Registry())
@@ -192,7 +183,7 @@ func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 		span.End(fmt.Errorf("register missing id/addr"))
 		return
 	}
-	c.admit(req.ID, req.Addr, 0)
+	c.admit(req.ID, req.Addr)
 	span.SetAttr("worker", req.ID)
 	span.End(nil)
 	writeProtoJSON(w, RegisterResponse{Version: ProtocolVersion})
@@ -216,7 +207,7 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 		span.End(fmt.Errorf("heartbeat missing id/addr"))
 		return
 	}
-	c.admit(hb.ID, hb.Addr, hb.QueueDepth)
+	c.admit(hb.ID, hb.Addr)
 	c.reap()
 	// Federation rides the heartbeat cadence: each beat may trigger one
 	// asynchronous scrape of the worker's /metrics, rate-limited per
@@ -265,7 +256,7 @@ func writeProtoJSON(w http.ResponseWriter, v any) {
 // re-appearing reaped worker all land here, so a worker that restarts
 // (or outlives a coordinator restart) rejoins on its next beat with no
 // special handshake.
-func (c *Coordinator) admit(id, addr string, depth int) {
+func (c *Coordinator) admit(id, addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	m, ok := c.members[id]
@@ -274,24 +265,22 @@ func (c *Coordinator) admit(id, addr string, depth int) {
 		c.members[id] = m
 		c.registeredTot.Inc()
 	}
-	if !m.alive {
-		c.ring.Add(id)
-		if ok {
-			c.cfg.Logf("fabric: worker %s back, rejoining ring (%d live)", id, c.ring.Len())
-		} else {
-			c.cfg.Logf("fabric: worker %s registered at %s (%d live)", id, addr, c.ring.Len())
-		}
-	}
+	back := !m.alive
 	m.addr = addr
-	m.depth = depth
 	m.alive = true
 	m.lastSeen = c.now()
-	c.updatePeerGauges()
+	live := c.updatePeerGauges()
+	switch {
+	case back && ok:
+		c.cfg.Logf("fabric: worker %s back (%d live)", id, live)
+	case back:
+		c.cfg.Logf("fabric: worker %s registered at %s (%d live)", id, addr, live)
+	}
 }
 
-// updatePeerGauges refreshes the alive/dead membership gauges. Callers
-// hold mu.
-func (c *Coordinator) updatePeerGauges() {
+// updatePeerGauges refreshes the alive/dead membership gauges and
+// returns the live count. Callers hold mu.
+func (c *Coordinator) updatePeerGauges() int {
 	alive, dead := 0, 0
 	for _, m := range c.members {
 		if m.alive {
@@ -302,10 +291,11 @@ func (c *Coordinator) updatePeerGauges() {
 	}
 	c.peersGauge.With("alive").Set(float64(alive))
 	c.peersGauge.With("dead").Set(float64(dead))
+	return alive
 }
 
-// reap removes workers silent past the liveness timeout from the
-// ring. It takes mu itself and must not be called with mu held.
+// reap marks workers silent past the liveness timeout dead. It takes
+// mu itself and must not be called with mu held.
 func (c *Coordinator) reap() {
 	now := c.now()
 	c.mu.Lock()
@@ -319,13 +309,11 @@ func (c *Coordinator) reap() {
 		m := c.members[id]
 		if m.alive && now.Sub(m.lastSeen) > c.cfg.HeartbeatTimeout {
 			m.alive = false
-			c.ring.Remove(id)
 			c.reapedTotal.Inc()
 			c.cfg.Logf("fabric: worker %s missed heartbeats for %s, reaped (%d live)",
-				id, now.Sub(m.lastSeen).Round(time.Millisecond), c.ring.Len())
+				id, now.Sub(m.lastSeen).Round(time.Millisecond), c.updatePeerGauges())
 		}
 	}
-	c.updatePeerGauges()
 }
 
 // suspect marks a worker dead after a failed dispatch, without waiting
@@ -335,81 +323,47 @@ func (c *Coordinator) suspect(id string, err error) {
 	defer c.mu.Unlock()
 	if m, ok := c.members[id]; ok && m.alive {
 		m.alive = false
-		c.ring.Remove(id)
-		c.cfg.Logf("fabric: worker %s unreachable (%v), re-dispatching (%d live)", id, err, c.ring.Len())
+		c.cfg.Logf("fabric: worker %s unreachable (%v), re-dispatching (%d live)", id, err, c.updatePeerGauges())
 	}
-	c.updatePeerGauges()
 }
 
-// dispatchTarget is one placement choice, labelled with why it was
-// chosen (for the dispatch counters).
-type dispatchTarget struct {
-	id   string
-	addr string
-	kind string // "owner", "stolen", "redispatch"
-}
-
-// plan produces the preference-ordered dispatch targets for key: the
-// ring owner — replaced by the least-loaded worker when the owner's
-// queue is stealDepth deeper —, then the remaining ring walk as
-// re-dispatch candidates. Empty means no live workers: run locally.
+// pick claims the live worker, outside tried, with the fewest
+// dispatches this coordinator has outstanding on it; ties go to the
+// lower id. It returns the worker's id and address and its in-flight
+// count before the claim; ok is false when no candidate is left. The
+// caller releases the claim when the attempt returns.
 //
 // No memo-warm preference is needed: the engine consults its memo and
 // the shared store before calling Exec, so a key any node has stored is
-// never planned.
-func (c *Coordinator) plan(key string) []dispatchTarget {
-	c.reap()
+// never placed, and any worker computes any other key to the same
+// bytes.
+func (c *Coordinator) pick(tried map[string]bool) (id, addr string, inflight int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ring.Len() == 0 {
-		return nil
-	}
-	order := c.ring.Owners(key, c.ring.Len())
-	targets := make([]dispatchTarget, 0, len(order))
-	for i, id := range order {
-		kind := "owner"
-		if i > 0 {
-			kind = "redispatch"
-		}
-		targets = append(targets, dispatchTarget{id: id, addr: c.members[id].addr, kind: kind})
-	}
-
-	// Work-stealing: hand the job to the least-loaded live worker when
-	// the owner is substantially deeper. Ties break by id so placement
-	// is deterministic given the same load report.
-	owner := c.members[targets[0].id]
-	minID, minDepth := "", 0
-	ids := make([]string, 0, len(order))
-	ids = append(ids, order...)
-	sort.Strings(ids)
-	for _, id := range ids {
-		if m := c.members[id]; minID == "" || m.depth < minDepth {
-			minID, minDepth = id, m.depth
+	var best *member
+	for _, m := range c.members {
+		if m.alive && !tried[m.id] && (best == nil || m.inflight < best.inflight ||
+			m.inflight == best.inflight && m.id < best.id) {
+			best = m
 		}
 	}
-	if minID != "" && minID != targets[0].id && owner.depth-minDepth > stealDepth {
-		targets = moveToFront(targets, minID, "stolen")
+	if best == nil {
+		return "", "", 0, false
 	}
-	return targets
+	best.inflight++
+	return best.id, best.addr, best.inflight - 1, true
 }
 
-// moveToFront promotes the target with the given id (relabelled kind)
-// to the head of the plan, preserving the relative order of the rest.
-func moveToFront(ts []dispatchTarget, id, kind string) []dispatchTarget {
-	for i, t := range ts {
-		if t.id == id {
-			t.kind = kind
-			copy(ts[1:i+1], ts[:i])
-			ts[0] = t
-			return ts
-		}
-	}
-	return ts
+// release ends a claim taken by pick.
+func (c *Coordinator) release(id string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.members[id].inflight--
 }
 
-// Exec implements sweep.Remote: dispatch the key to a worker, walking
-// the placement plan until one answers. Transport failures mark the
-// worker dead and re-dispatch to the next candidate — this is the
+// Exec implements sweep.Remote: dispatch the key to the least-loaded
+// live worker, picking again until one answers. Transport failures mark
+// the worker dead and re-dispatch to the next pick — this is the
 // mid-sweep worker-death recovery path. A worker that *rejects* the key
 // (bad key, execution error) ends dispatch with handled=false so the
 // local engine computes it and surfaces the authoritative error.
@@ -417,49 +371,52 @@ func moveToFront(ts []dispatchTarget, id, kind string) []dispatchTarget {
 // execution, which produces identical bytes by the determinism
 // contract.
 //
-// Placement decisions land on the dispatch span as events — plan order,
-// steals, re-dispatches, suspects — and a successful response's
-// backhauled worker spans are adopted into the coordinator tracer, so
-// one /debug/traces lookup shows the whole cross-node journey.
+// Placement decisions land on the dispatch span as events — one pick
+// per attempt with the worker's in-flight count, suspects, rejections —
+// and a successful response's backhauled worker spans are adopted into
+// the coordinator tracer, so one /debug/traces lookup shows the whole
+// cross-node journey.
 func (c *Coordinator) Exec(ctx context.Context, key string) (json.RawMessage, bool, error) {
-	plan := c.plan(key)
-	if len(plan) == 0 {
+	c.reap()
+	id, addr, inflight, ok := c.pick(nil)
+	if !ok {
 		c.localFallback.Inc()
 		return nil, false, nil
 	}
 	ctx, span := obs.Start(ctx, "fabric.dispatch", obs.KindClient)
 	span.SetAttr("key", key)
-	for _, t := range plan {
-		span.Event("plan", "worker", t.id, "kind", t.kind)
-	}
 	start := c.now()
-	for i, t := range plan {
-		if i > 0 {
+	tried := map[string]bool{}
+	for ok {
+		if len(tried) > 0 {
 			c.redispatched.Inc()
-			span.Event("redispatch", "worker", t.id)
 		}
-		raw, spans, retryable, err := c.execOn(ctx, t.addr, key)
+		tried[id] = true
+		span.Event("pick", "worker", id, "inflight", strconv.Itoa(inflight))
+		raw, spans, retryable, err := c.execOn(ctx, addr, key)
+		c.release(id)
 		if err == nil {
-			c.finishDispatch(t, start)
-			span.SetAttr("worker", t.id)
-			span.SetAttr("kind", t.kind)
+			c.dispatches.Inc()
+			c.execMS.Observe(int(c.now().Sub(start).Milliseconds()))
+			span.SetAttr("worker", id)
 			span.End(nil)
 			c.cfg.Tracer.Adopt(spans)
 			return raw, true, nil
 		}
 		if !retryable {
 			c.localFallback.Inc()
-			span.Event("rejected", "worker", t.id)
+			span.Event("rejected", "worker", id)
 			span.End(nil)
 			return nil, false, nil
 		}
-		c.suspect(t.id, err)
-		span.Event("suspect", "worker", t.id)
+		c.suspect(id, err)
+		span.Event("suspect", "worker", id)
 		if ctx.Err() != nil {
 			// The batch is being cancelled; let the engine see it locally.
 			span.End(nil)
 			return nil, false, nil
 		}
+		id, addr, inflight, ok = c.pick(tried)
 	}
 	c.dispatchFailed.Inc()
 	span.End(fmt.Errorf("fabric: every candidate failed for %s", key))
@@ -469,7 +426,7 @@ func (c *Coordinator) Exec(ctx context.Context, key string) (json.RawMessage, bo
 // execOn performs one dispatch attempt. retryable distinguishes "this
 // worker is broken, try another" (transport error, 5xx) from "this job
 // is broken everywhere" (4xx: version skew, unknown or failing key),
-// which must not burn through the whole ring.
+// which must not burn through every worker.
 func (c *Coordinator) execOn(ctx context.Context, addr, key string) (raw json.RawMessage, spans []obs.SpanData, retryable bool, err error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.ExecTimeout)
 	defer cancel()
@@ -503,24 +460,13 @@ func (c *Coordinator) execOn(ctx context.Context, addr, key string) (raw json.Ra
 	return er.Result, er.Spans, false, nil
 }
 
-// finishDispatch records a successful dispatch: counters by kind and
-// the end-to-end latency.
-func (c *Coordinator) finishDispatch(t dispatchTarget, start time.Time) {
-	elapsed := c.now().Sub(start)
-	if t.kind == "stolen" {
-		c.dispatches.With("stolen").Inc()
-	} else {
-		c.dispatches.With("owner").Inc()
-	}
-	c.execMS.Observe(int(elapsed.Milliseconds()))
-}
-
-// PeerStatus is one worker's liveness as reported by Health.
+// PeerStatus is one worker's liveness as reported by Health. Inflight
+// is the number of dispatches this coordinator has outstanding on it.
 type PeerStatus struct {
 	ID         string `json:"id"`
 	Addr       string `json:"addr"`
 	Alive      bool   `json:"alive"`
-	QueueDepth int    `json:"queue_depth"`
+	Inflight   int    `json:"inflight"`
 	LastSeenMS int64  `json:"last_seen_ms"`
 }
 
@@ -532,7 +478,7 @@ func (c *Coordinator) Peers() []PeerStatus {
 	out := make([]PeerStatus, 0, len(c.members))
 	for _, m := range c.members {
 		out = append(out, PeerStatus{
-			ID: m.id, Addr: m.addr, Alive: m.alive, QueueDepth: m.depth,
+			ID: m.id, Addr: m.addr, Alive: m.alive, Inflight: m.inflight,
 			LastSeenMS: now.Sub(m.lastSeen).Milliseconds(),
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -45,47 +44,30 @@ type testClock struct{ now time.Time }
 func (c *testClock) time() time.Time         { return c.now }
 func (c *testClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 
-// keyOwnedBy finds a key whose ring owner is id, so dispatch-path tests
-// can force the first placement choice.
-func keyOwnedBy(t *testing.T, c *Coordinator, id string) string {
-	t.Helper()
-	for i := 0; i < 10000; i++ {
-		key := fmt.Sprintf("v1|solo|app=probe-%d|cycles=1024", i)
-		c.mu.Lock()
-		owners := c.ring.Owners(key, 1)
-		c.mu.Unlock()
-		if len(owners) == 1 && owners[0] == id {
-			return key
-		}
-	}
-	t.Fatalf("no key owned by %s in 10000 probes", id)
-	return ""
-}
-
 // TestFabricRedispatchAfterMissedHeartbeats is the worker-death unit
-// test: a worker that stops heartbeating is reaped from the ring, and a
-// job that would have been its lands on a surviving worker.
+// test: a worker that stops heartbeating is reaped, and a job that
+// would have been its (the tie goes to the lower id, "dead") lands on
+// a surviving worker.
 func TestFabricRedispatchAfterMissedHeartbeats(t *testing.T) {
 	clock := &testClock{now: time.Unix(1_000_000, 0)}
 	c := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: time.Second, Logf: t.Logf})
 	c.now = clock.time
 
 	survivor := newFakeWorker(t, json.RawMessage(`{"ok":true}`))
-	c.admit("dead", "http://127.0.0.1:1", 0) // nothing listens there
-	c.admit("live", survivor.srv.URL, 0)
-
-	key := keyOwnedBy(t, c, "dead")
+	c.admit("dead", "http://127.0.0.1:1") // nothing listens there
+	c.admit("live", survivor.srv.URL)
+	key := "v1|solo|app=probe|cycles=1024"
 
 	// The dead worker misses its heartbeats; the survivor keeps beating.
 	clock.advance(1500 * time.Millisecond)
-	c.admit("live", survivor.srv.URL, 0)
+	c.admit("live", survivor.srv.URL)
 	c.reap()
 
 	c.mu.Lock()
-	reaped, inRing := c.reapedTotal.Value(), c.ring.Has("dead")
+	reaped, alive := c.reapedTotal.Value(), c.members["dead"].alive
 	c.mu.Unlock()
-	if reaped != 1 || inRing {
-		t.Fatalf("after missed heartbeats: reaped=%d inRing=%v, want 1 and false", reaped, inRing)
+	if reaped != 1 || alive {
+		t.Fatalf("after missed heartbeats: reaped=%d alive=%v, want 1 and false", reaped, alive)
 	}
 
 	raw, handled, err := c.Exec(context.Background(), key)
@@ -98,29 +80,32 @@ func TestFabricRedispatchAfterMissedHeartbeats(t *testing.T) {
 	if len(survivor.served) != 1 || survivor.served[0] != key {
 		t.Fatalf("survivor served %v, want [%s]", survivor.served, key)
 	}
+	if n := c.redispatched.Value(); n != 0 {
+		t.Fatalf("redispatched = %d, want 0: a reaped worker is never picked", n)
+	}
 
 	// The dead worker's next heartbeat readmits it.
-	c.admit("dead", "http://127.0.0.1:1", 0)
+	c.admit("dead", "http://127.0.0.1:1")
 	c.mu.Lock()
-	back := c.ring.Has("dead")
+	back := c.members["dead"].alive
 	c.mu.Unlock()
 	if !back {
-		t.Fatal("re-heartbeating worker did not rejoin the ring")
+		t.Fatal("re-heartbeating worker was not readmitted")
 	}
 }
 
 // TestFabricRedispatchOnConnectionFailure covers the faster path: the
 // worker is still believed alive, but the dispatch connection fails, so
 // the job re-dispatches immediately and the worker is marked dead
-// without waiting for the liveness timeout.
+// without waiting for the liveness timeout. "dead" wins the tie, so it
+// is tried first.
 func TestFabricRedispatchOnConnectionFailure(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
 	survivor := newFakeWorker(t, json.RawMessage(`7`))
-	c.admit("dead", "http://127.0.0.1:1", 0)
-	c.admit("live", survivor.srv.URL, 0)
-	key := keyOwnedBy(t, c, "dead")
+	c.admit("dead", "http://127.0.0.1:1")
+	c.admit("live", survivor.srv.URL)
 
-	raw, handled, err := c.Exec(context.Background(), key)
+	raw, handled, err := c.Exec(context.Background(), "v1|solo|app=probe|cycles=1024")
 	if err != nil || !handled || !bytes.Equal(raw, []byte(`7`)) {
 		t.Fatalf("Exec = %s, %v, %v", raw, handled, err)
 	}
@@ -151,7 +136,8 @@ func TestFabricExecDeclinesWithNoWorkers(t *testing.T) {
 }
 
 // TestFabricWorkerRejectionEndsDispatch: a 4xx from a worker means the
-// key itself is bad; the coordinator must not retry it around the ring.
+// key itself is bad; the coordinator must not retry it on another
+// worker. "rejector" wins the tie with "spare", so it is tried first.
 func TestFabricWorkerRejectionEndsDispatch(t *testing.T) {
 	rejections := 0
 	rejecting := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -160,46 +146,198 @@ func TestFabricWorkerRejectionEndsDispatch(t *testing.T) {
 	}))
 	defer rejecting.Close()
 	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
-	other := newFakeWorker(t, json.RawMessage(`1`))
-	c.admit("rejector", rejecting.URL, 0)
-	c.admit("other", other.srv.URL, 0)
-	key := keyOwnedBy(t, c, "rejector")
+	spare := newFakeWorker(t, json.RawMessage(`1`))
+	c.admit("rejector", rejecting.URL)
+	c.admit("spare", spare.srv.URL)
 
-	raw, handled, err := c.Exec(context.Background(), key)
+	raw, handled, err := c.Exec(context.Background(), "v1|solo|app=probe|cycles=1024")
 	if raw != nil || handled || err != nil {
 		t.Fatalf("Exec = %s, %v, %v; want local fallback", raw, handled, err)
 	}
-	if rejections != 1 || len(other.served) != 0 {
-		t.Fatalf("rejections=%d otherServed=%v; a deterministic rejection must not ring-walk",
-			rejections, other.served)
+	if rejections != 1 || len(spare.served) != 0 {
+		t.Fatalf("rejections=%d spareServed=%v; a deterministic rejection must not be retried",
+			rejections, spare.served)
 	}
 }
 
-// TestFabricStealing: a deeply queued owner loses the job to the
-// least-loaded worker.
-func TestFabricStealing(t *testing.T) {
-	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
-	c.admit("deep", "http://deep", 10)
-	c.admit("idle", "http://idle", 0)
-	key := keyOwnedBy(t, c, "deep")
+// gateWorker is an exec endpoint that holds every request until the
+// test releases it with the status to answer, so a test can observe
+// placement while dispatches are outstanding.
+type gateWorker struct {
+	srv     *httptest.Server
+	arrived chan string   // the key of each request, as it arrives
+	release chan int      // the status for one held request
+	stop    chan struct{} // closed at cleanup, freeing held requests
+}
 
-	plan := c.plan(key)
-	if len(plan) != 2 || plan[0].id != "idle" || plan[0].kind != "stolen" {
-		t.Fatalf("plan with deep owner = %+v, want idle stolen first", plan)
+func newGateWorker(t *testing.T) *gateWorker {
+	t.Helper()
+	g := &gateWorker{arrived: make(chan string, 4), release: make(chan int), stop: make(chan struct{})}
+	g.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var req ExecRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		g.arrived <- req.Key
+		select {
+		case code := <-g.release:
+			if code != http.StatusOK {
+				http.Error(w, "rejected", code)
+				return
+			}
+			writeProtoJSON(w, ExecResponse{Version: ProtocolVersion, Key: req.Key, Result: json.RawMessage(`1`)})
+		case <-r.Context().Done():
+		case <-g.stop:
+		}
+	}))
+	t.Cleanup(g.srv.Close)
+	t.Cleanup(func() { close(g.stop) }) // runs first, so Close never waits on a held request
+	return g
+}
+
+// next returns the key of the next request g receives, failing the
+// test when none arrives.
+func (g *gateWorker) next(t *testing.T) string {
+	t.Helper()
+	select {
+	case key := <-g.arrived:
+		return key
+	case <-time.After(10 * time.Second):
+		t.Fatal("no exec request arrived")
+		return ""
+	}
+}
+
+// execResult is one Exec call's outcome, for calls run off the test
+// goroutine.
+type execResult struct {
+	raw     json.RawMessage
+	handled bool
+	err     error
+}
+
+func goExec(ctx context.Context, c *Coordinator, key string) <-chan execResult {
+	ch := make(chan execResult, 1)
+	go func() {
+		raw, handled, err := c.Exec(ctx, key)
+		ch <- execResult{raw, handled, err}
+	}()
+	return ch
+}
+
+// inflight reads every worker's in-flight count from Peers.
+func inflight(c *Coordinator) map[string]int {
+	out := map[string]int{}
+	for _, p := range c.Peers() {
+		out[p.ID] = p.Inflight
+	}
+	return out
+}
+
+// TestFabricPlacementLeastInFlight pins placement: a job goes to the
+// live worker with the fewest dispatches outstanding, a tie goes to the
+// lower id, and every return path of Exec (success, re-dispatch after a
+// transport failure, a 4xx rejection, a cancelled context) releases its
+// claim.
+func TestFabricPlacementLeastInFlight(t *testing.T) {
+	ctx := context.Background()
+	wantIdle := func(t *testing.T, c *Coordinator) {
+		t.Helper()
+		for id, n := range inflight(c) {
+			if n != 0 {
+				t.Errorf("worker %s has %d in flight after Exec returned, want 0", id, n)
+			}
+		}
 	}
 
-	// Equal load: the ring owner keeps the job.
-	c.admit("deep", "http://deep", 1)
-	plan = c.plan(key)
-	if plan[0].id != "deep" || plan[0].kind != "owner" {
-		t.Fatalf("plan with balanced load = %+v, want deep owner first", plan)
-	}
+	t.Run("concurrent", func(t *testing.T) {
+		c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+		a, b := newGateWorker(t), newGateWorker(t)
+		c.admit("b", b.srv.URL)
+		c.admit("a", a.srv.URL)
+
+		// Both idle: the tie goes to the lower id.
+		first := goExec(ctx, c, "k1")
+		if got := a.next(t); got != "k1" {
+			t.Fatalf("a received %q, want k1", got)
+		}
+		if got := inflight(c); got["a"] != 1 || got["b"] != 0 {
+			t.Fatalf("in flight after one dispatch = %v, want a:1 b:0", got)
+		}
+		// a is busy, so the next job goes to b.
+		second := goExec(ctx, c, "k2")
+		if got := b.next(t); got != "k2" {
+			t.Fatalf("b received %q, want k2", got)
+		}
+		a.release <- http.StatusOK
+		b.release <- http.StatusOK
+		for _, ch := range []<-chan execResult{first, second} {
+			if r := <-ch; !r.handled || r.err != nil || string(r.raw) != "1" {
+				t.Fatalf("Exec = %+v, want handled result 1", r)
+			}
+		}
+		wantIdle(t, c)
+		if n := c.dispatches.Value(); n != 2 {
+			t.Fatalf("dispatches = %d, want 2", n)
+		}
+	})
+
+	t.Run("redispatch", func(t *testing.T) {
+		c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+		b := newGateWorker(t)
+		c.admit("a", "http://127.0.0.1:1") // wins the tie; nothing listens
+		c.admit("b", b.srv.URL)
+		done := goExec(ctx, c, "k")
+		b.next(t)
+		if got := inflight(c); got["a"] != 0 || got["b"] != 1 {
+			t.Fatalf("in flight during the re-dispatch = %v, want a:0 b:1", got)
+		}
+		b.release <- http.StatusOK
+		if r := <-done; !r.handled || r.err != nil {
+			t.Fatalf("Exec = %+v, want handled", r)
+		}
+		wantIdle(t, c)
+		if n := c.redispatched.Value(); n != 1 {
+			t.Fatalf("redispatched = %d, want 1", n)
+		}
+	})
+
+	t.Run("rejected", func(t *testing.T) {
+		c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+		a := newGateWorker(t)
+		c.admit("a", a.srv.URL)
+		done := goExec(ctx, c, "k")
+		a.next(t)
+		a.release <- http.StatusNotFound
+		if r := <-done; r.handled || r.err != nil {
+			t.Fatalf("Exec = %+v, want declined to the local engine", r)
+		}
+		wantIdle(t, c)
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+		a := newGateWorker(t)
+		c.admit("a", a.srv.URL)
+		cctx, cancel := context.WithCancel(ctx)
+		done := goExec(cctx, c, "k")
+		a.next(t)
+		if got := inflight(c); got["a"] != 1 {
+			t.Fatalf("in flight before cancel = %v, want a:1", got)
+		}
+		cancel()
+		if r := <-done; r.handled {
+			t.Fatalf("Exec = %+v, want declined after cancel", r)
+		}
+		wantIdle(t, c)
+	})
 }
 
 // TestFabricControlPlane drives the HTTP control plane end to end:
-// register, version skew, heartbeat liveness and load, the store-keys
-// health count, and heartbeats from nodes that still send the retired
-// gossip fields.
+// register, version skew, heartbeat liveness, the store-keys health
+// count, and heartbeats from nodes that still send the retired
+// queue-depth and gossip fields.
 func TestFabricControlPlane(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
 	srv := httptest.NewServer(c.Handler())
@@ -250,17 +388,17 @@ func TestFabricControlPlane(t *testing.T) {
 		t.Fatalf("future-version register: HTTP %d, want 400", code)
 	}
 
-	// A heartbeat refreshes liveness and the reported queue depth.
+	// A heartbeat refreshes liveness.
 	var hb HeartbeatResponse
 	if code := post("/fabric/v1/heartbeat",
-		Heartbeat{Version: ProtocolVersion, ID: "w1", Addr: "http://w1", QueueDepth: 3}, &hb); code != http.StatusOK {
+		Heartbeat{Version: ProtocolVersion, ID: "w1", Addr: "http://w1"}, &hb); code != http.StatusOK {
 		t.Fatalf("heartbeat: HTTP %d", code)
 	}
 	if hb.Version != ProtocolVersion {
 		t.Fatalf("heartbeat response version = %d", hb.Version)
 	}
-	if p := peer("w1"); !p.Alive || p.QueueDepth != 3 {
-		t.Fatalf("after heartbeat w1 = %+v, want alive with queue depth 3", p)
+	if p := peer("w1"); !p.Alive || p.Inflight != 0 {
+		t.Fatalf("after heartbeat w1 = %+v, want alive with nothing in flight", p)
 	}
 
 	// Results stored through the coordinator's backend are counted.
@@ -271,14 +409,15 @@ func TestFabricControlPlane(t *testing.T) {
 		t.Fatalf("fabric_store_keys = %v, want 1", got)
 	}
 
-	// A heartbeat in the older wire format, gossip fields included, is
-	// still admitted: decoders ignore the fields they no longer know.
-	old := `{"version":1,"id":"w9","addr":"http://w9","queue_depth":0,"seq":7,"recent_keys":["k"]}`
+	// A heartbeat in the older wire format, queue depth and gossip fields
+	// included, is still admitted: decoders ignore the fields they no
+	// longer know.
+	old := `{"version":1,"id":"w9","addr":"http://w9","queue_depth":5,"seq":7,"recent_keys":["k"]}`
 	if code := postRaw("/fabric/v1/heartbeat", []byte(old), nil); code != http.StatusOK {
 		t.Fatalf("older-format heartbeat: HTTP %d, want 200", code)
 	}
-	if p := peer("w9"); !p.Alive {
-		t.Fatalf("older-format heartbeat left w9 = %+v, want alive", p)
+	if p := peer("w9"); !p.Alive || p.Inflight != 0 {
+		t.Fatalf("older-format heartbeat left w9 = %+v, want alive with nothing in flight", p)
 	}
 }
 
@@ -316,12 +455,7 @@ func TestFabricStoredKeyNeverDispatched(t *testing.T) {
 	if n := c.localFallback.Value(); n != 0 {
 		t.Errorf("localFallback = %d, want 0 (Exec was called)", n)
 	}
-	for _, k := range []string{"owner", "stolen"} {
-		if n := c.dispatches.With(k).Value(); n != 0 {
-			t.Errorf("dispatch_total{kind=%q} = %d, want 0", k, n)
-		}
-	}
-	if n := c.dispatchFailed.Value() + c.redispatched.Value(); n != 0 {
-		t.Errorf("dispatchFailed+redispatched = %d, want 0", n)
+	if n := c.dispatches.Value() + c.dispatchFailed.Value() + c.redispatched.Value(); n != 0 {
+		t.Errorf("dispatches+dispatchFailed+redispatched = %d, want 0", n)
 	}
 }

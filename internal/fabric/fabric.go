@@ -1,8 +1,8 @@
 // Package fabric distributes the sweep engine across processes: a
-// coordinator consistent-hashes job keys over registered worker nodes,
-// workers execute keys on their local engines, and a shared
-// content-addressed result store lets every node serve what any node
-// computed.
+// coordinator places each job key on the registered worker with the
+// fewest of its dispatches outstanding, workers execute keys on their
+// local engines, and a shared content-addressed result store lets every
+// node serve what any node computed.
 //
 // The design leans entirely on the sweep package's determinism
 // contract: a job key uniquely determines its result, and results
@@ -16,16 +16,17 @@
 // (unreachable worker, version skew, unknown key family) falls back to
 // local computation and produces the same bytes.
 //
-// Topology: the coordinator owns the result store and the hash ring.
+// Topology: the coordinator owns the result store and the membership.
 // Workers register over HTTP, then heartbeat periodically; a heartbeat
-// carries only liveness and the worker's queue depth (feeding
-// work-stealing). No memo state travels on it: the engine consults its
-// memo and the shared store before it dispatches, so a key any node has
-// stored never reaches placement. A worker that misses
-// heartbeats past the liveness timeout is reaped from the ring; jobs
-// in flight to it are re-dispatched to surviving workers the moment
-// the connection fails, so a mid-sweep worker death costs a retry,
-// not the sweep.
+// carries only liveness. Placement needs no report from the worker: the
+// coordinator counts the dispatches it has outstanding on each one, and
+// any worker computes any key to the same bytes. No memo state travels
+// either: the engine consults its memo and the shared store before it
+// dispatches, so a key any node has stored never reaches placement. A
+// worker that misses heartbeats past the liveness timeout is reaped;
+// jobs in flight to it are re-dispatched to surviving workers the
+// moment the connection fails, so a mid-sweep worker death costs a
+// retry, not the sweep.
 //
 // The package deliberately sits outside the simulator's determinism
 // boundary (see internal/lint's nondeterminism rule): it reads the
@@ -68,15 +69,13 @@ type RegisterResponse struct {
 	Version int `json:"version"`
 }
 
-// Heartbeat is a worker's periodic liveness report. QueueDepth is the
-// number of exec requests it is running, the load view work-stealing
-// reads. Decoders ignore unknown fields, so beats from nodes that still
-// send the retired gossip fields (seq, recent_keys) are accepted.
+// Heartbeat is a worker's periodic liveness report. Decoders ignore
+// unknown fields, so beats from nodes that still send retired fields
+// (queue_depth, seq, recent_keys) are accepted.
 type Heartbeat struct {
-	Version    int    `json:"version"`
-	ID         string `json:"id"`
-	Addr       string `json:"addr"`
-	QueueDepth int    `json:"queue_depth"`
+	Version int    `json:"version"`
+	ID      string `json:"id"`
+	Addr    string `json:"addr"`
 }
 
 // HeartbeatResponse acknowledges a beat.

@@ -239,6 +239,24 @@ func TestObsSmoke(t *testing.T) {
 	if !nodes["coord"] || (!nodes["w1"] && !nodes["w2"]) {
 		t.Errorf("trace does not span coordinator and a worker: nodes=%v", nodes)
 	}
+	// Every dispatch explains its placement with one pick event per
+	// attempt. No worker fails here, so each dispatch is one attempt: a
+	// pick naming the worker that answered and its in-flight count.
+	for _, d := range spans {
+		if d.Name != "fabric.dispatch" {
+			continue
+		}
+		var picks []obs.SpanEvent
+		for _, ev := range d.Events {
+			if ev.Name == "pick" {
+				picks = append(picks, ev)
+			}
+		}
+		if len(picks) != 1 || picks[0].Attrs["worker"] != d.Attrs["worker"] || picks[0].Attrs["inflight"] == "" {
+			t.Errorf("dispatch span %s (worker %q) has picks %+v, want one naming its worker and in-flight count",
+				d.Span, d.Attrs["worker"], picks)
+		}
+	}
 
 	// The same trace is visible through the debug endpoint.
 	rec := httptest.NewRecorder()

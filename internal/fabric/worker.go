@@ -53,7 +53,7 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 }
 
 // Worker is a fabric execution node: it registers with the coordinator,
-// heartbeats liveness and queue depth, and serves /fabric/v1/exec by
+// heartbeats liveness, and serves /fabric/v1/exec by
 // rebuilding jobs from their keys on its local engine through
 // experiment.ExecKeyOn, which runs simulation specs and experiment
 // families alike; a key it does not recognise is refused (the
@@ -227,12 +227,9 @@ func (w *Worker) Register(ctx context.Context) error {
 	return checkProtoVersion(resp.Version)
 }
 
-// Heartbeat performs one beat: liveness and queue depth.
+// Heartbeat performs one liveness beat.
 func (w *Worker) Heartbeat(ctx context.Context) error {
-	hb := Heartbeat{
-		Version: ProtocolVersion, ID: w.cfg.ID, Addr: w.cfg.AdvertiseURL,
-		QueueDepth: int(w.inflight.Load()),
-	}
+	hb := Heartbeat{Version: ProtocolVersion, ID: w.cfg.ID, Addr: w.cfg.AdvertiseURL}
 	var resp HeartbeatResponse
 	if err := w.post(ctx, "/fabric/v1/heartbeat", hb, &resp); err != nil {
 		w.hbVec.With("error").Inc()

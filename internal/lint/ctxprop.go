@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // CtxPropRule enforces context propagation on request paths. In the
@@ -64,57 +63,11 @@ func (r *CtxPropRule) Check(p *Package) []Finding {
 			continue
 		}
 		decls[fn] = fd
-		if hasCtxParam(p, fd) {
+		if hasCtxParam(fn) {
 			roots = append(roots, fn)
 		}
 	}
-	if len(roots) == 0 {
-		return nil
-	}
-
-	// Breadth-first reachability from every root, with discovery edges
-	// for chain rendering (the hotalloc walk, rooted at many nodes).
-	parent := map[*types.Func]*types.Func{}
-	var reached []*types.Func
-	seen := map[*types.Func]bool{}
-	for _, root := range roots {
-		if !seen[root] {
-			seen[root] = true
-			reached = append(reached, root)
-		}
-	}
-	for i := 0; i < len(reached); i++ {
-		caller := reached[i]
-		ast.Inspect(decls[caller].Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := callee(p, call)
-			if fn == nil || seen[fn] {
-				return true
-			}
-			if _, hasBody := decls[fn]; !hasBody {
-				return true
-			}
-			seen[fn] = true
-			parent[fn] = caller
-			reached = append(reached, fn)
-			return true
-		})
-	}
-
-	chain := func(fn *types.Func) string {
-		var parts []string
-		for f := fn; f != nil; f = parent[f] {
-			parts = append(parts, funcLabel(f))
-		}
-		for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-			parts[i], parts[j] = parts[j], parts[i]
-		}
-		return strings.Join(parts, " -> ")
-	}
-
+	reached, chain := reachable(p, decls, roots, nil)
 	var out []Finding
 	for _, fn := range reached {
 		path := chain(fn)
@@ -139,17 +92,10 @@ func (r *CtxPropRule) Check(p *Package) []Finding {
 	return out
 }
 
-// hasCtxParam reports whether fd takes a context.Context or
+// hasCtxParam reports whether fn takes a context.Context or
 // *net/http.Request parameter.
-func hasCtxParam(p *Package, fd *ast.FuncDecl) bool {
-	fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return false
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok {
-		return false
-	}
+func hasCtxParam(fn *types.Func) bool {
+	sig := fn.Type().(*types.Signature)
 	for i := 0; i < sig.Params().Len(); i++ {
 		t := sig.Params().At(i).Type()
 		if isNamedType(t, "context", "Context") || isNamedType(derefType(t), "net/http", "Request") {
@@ -172,23 +118,8 @@ func isNamedType(t types.Type, pkgPath, name string) bool {
 // ctxDropCall classifies a call that drops the context, returning a
 // description and the sanctioned fix ("" when the call is fine).
 func ctxDropCall(p *Package, call *ast.CallExpr) (string, string) {
-	e := call.Fun
-	for {
-		paren, ok := e.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		e = paren.X
-	}
-	var obj types.Object
-	switch fun := e.(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil {
+	fn := staticCallee(p, call)
+	if fn == nil || fn.Pkg() == nil {
 		return "", ""
 	}
 	name := fn.Name()

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // HotAllocRule enforces the simulator's zero-allocation contract: in the
@@ -104,31 +103,6 @@ func funcLabel(fn *types.Func) string {
 	return fn.Name()
 }
 
-// callee resolves the static callee of a call expression to a package
-// function, or nil for builtins, cross-package calls, and dynamic calls.
-func callee(p *Package, call *ast.CallExpr) *types.Func {
-	e := call.Fun
-	for {
-		paren, ok := e.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		e = paren.X
-	}
-	var obj types.Object
-	switch fun := e.(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() != p.Types {
-		return nil
-	}
-	return fn
-}
-
 // Check implements Rule.
 func (r *HotAllocRule) Check(p *Package) []Finding {
 	if !matchPackage(p.Path, r.Packages) {
@@ -153,52 +127,7 @@ func (r *HotAllocRule) Check(p *Package) []Finding {
 			}
 		}
 	}
-	if len(roots) == 0 {
-		return nil
-	}
-
-	// Breadth-first walk of the intra-package call graph from every
-	// root. parent records the discovery edge so findings can show the
-	// chain back to a root; a function shared between roots keeps its
-	// first discovery chain.
-	parent := map[*types.Func]*types.Func{}
-	reached := append([]*types.Func(nil), roots...)
-	seen := map[*types.Func]bool{}
-	for _, root := range roots {
-		seen[root] = true
-	}
-	for i := 0; i < len(reached); i++ {
-		caller := reached[i]
-		ast.Inspect(decls[caller].Body, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn := callee(p, call)
-			if fn == nil || seen[fn] || cold[fn.Name()] {
-				return true
-			}
-			if _, hasBody := decls[fn]; !hasBody {
-				return true
-			}
-			seen[fn] = true
-			parent[fn] = caller
-			reached = append(reached, fn)
-			return true
-		})
-	}
-
-	chain := func(fn *types.Func) string {
-		var parts []string
-		for f := fn; f != nil; f = parent[f] {
-			parts = append(parts, funcLabel(f))
-		}
-		for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-			parts[i], parts[j] = parts[j], parts[i]
-		}
-		return strings.Join(parts, " -> ")
-	}
-
+	reached, chain := reachable(p, decls, roots, func(fn *types.Func) bool { return cold[fn.Name()] })
 	var out []Finding
 	for _, fn := range reached {
 		path := chain(fn)

@@ -70,6 +70,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
+	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -349,4 +351,67 @@ func funcDecls(p *Package) []*ast.FuncDecl {
 		}
 	}
 	return out
+}
+
+// staticCallee resolves the static callee of a call to the declared
+// function or method it names, in any package; builtins, conversions
+// and calls of function values resolve to nil. Callers that want an
+// intra-package callee check fn.Pkg() == p.Types themselves.
+func staticCallee(p *Package, call *ast.CallExpr) *types.Func {
+	e := ast.Unparen(call.Fun)
+	var obj types.Object
+	switch fun := e.(type) {
+	case *ast.Ident:
+		obj = p.Info.Uses[fun]
+	case *ast.SelectorExpr:
+		obj = p.Info.Uses[fun.Sel]
+	}
+	fn, _ := obj.(*types.Func)
+	return fn
+}
+
+// reachable walks the intra-package static call graph breadth-first
+// from roots. decls holds the package's function bodies: a callee
+// without one (another package's, or an interface method) is not
+// entered, nor is one that skip (nil skips none) reports. It returns
+// the reached functions in discovery order, roots first, and a
+// renderer of the discovery chain from a root to a reached function
+// ("Root -> helper -> fn"); a function reachable from several roots
+// keeps its first chain.
+func reachable(p *Package, decls map[*types.Func]*ast.FuncDecl, roots []*types.Func, skip func(*types.Func) bool) ([]*types.Func, func(*types.Func) string) {
+	parent := map[*types.Func]*types.Func{}
+	seen := map[*types.Func]bool{}
+	var reached []*types.Func
+	for _, root := range roots {
+		if !seen[root] {
+			seen[root] = true
+			reached = append(reached, root)
+		}
+	}
+	for i := 0; i < len(reached); i++ {
+		caller := reached[i]
+		ast.Inspect(decls[caller].Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			fn := staticCallee(p, call)
+			if fn == nil || seen[fn] || decls[fn] == nil || (skip != nil && skip(fn)) {
+				return true
+			}
+			seen[fn] = true
+			parent[fn] = caller
+			reached = append(reached, fn)
+			return true
+		})
+	}
+	chain := func(fn *types.Func) string {
+		var parts []string
+		for f := fn; f != nil; f = parent[f] {
+			parts = append(parts, funcLabel(f))
+		}
+		slices.Reverse(parts)
+		return strings.Join(parts, " -> ")
+	}
+	return reached, chain
 }

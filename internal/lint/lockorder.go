@@ -109,7 +109,7 @@ func (r *LockOrderRule) CheckModule(pkgs []*Package) []Finding {
 				})
 			}
 			w.onCall = func(w *lockTracker, call *ast.CallExpr) {
-				callee := calleeAnyPkg(p, call)
+				callee := staticCallee(p, call)
 				if callee == nil {
 					return
 				}
@@ -316,33 +316,6 @@ func posLess(a, b token.Position) bool {
 		return a.Line < b.Line
 	}
 	return a.Column < b.Column
-}
-
-// calleeAnyPkg resolves the static callee of a call to a declared
-// function in any module package (unlike hotalloc's callee, which stays
-// intra-package). Builtins, interface methods, and function values
-// resolve to nil.
-func calleeAnyPkg(p *Package, call *ast.CallExpr) *types.Func {
-	e := call.Fun
-	for {
-		paren, ok := e.(*ast.ParenExpr)
-		if !ok {
-			break
-		}
-		e = paren.X
-	}
-	var obj types.Object
-	switch fun := e.(type) {
-	case *ast.Ident:
-		obj = p.Info.Uses[fun]
-	case *ast.SelectorExpr:
-		obj = p.Info.Uses[fun.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	return fn
 }
 
 // tarjanSCC returns the strongly connected components of the class

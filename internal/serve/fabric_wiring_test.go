@@ -46,7 +46,7 @@ func TestFabricWiring(t *testing.T) {
 		// The coordinator's series render in the same exposition.
 		`smtserved_fabric_peers{state="alive"} 0`,
 		"smtserved_fabric_local_fallback_total 1",
-		`smtserved_fabric_dispatch_total{kind="owner"} 0`,
+		"smtserved_fabric_dispatch_total 0",
 		`smtserved_fabric_exec_ms_bucket{le="+Inf"} 0`,
 		"smtserved_fabric_exec_ms_count 0",
 		`smtserved_fabric_store_requests_total{op="get",outcome="hit"} 0`,

@@ -265,30 +265,33 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 			wait = d
 		}
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case <-j.done:
-		state, _, _, output, errMsg, _, _, _ := j.snapshot()
-		switch state {
-		case StateDone:
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			w.WriteHeader(http.StatusOK)
-			fmt.Fprint(w, output)
-		case StateCanceled:
-			writeError(w, http.StatusServiceUnavailable, "%s", errMsg)
-		default:
-			writeError(w, http.StatusUnprocessableEntity, "%s", errMsg)
+	// A zero wait answers 202 without looking at the job, so a job fast
+	// enough to finish first cannot turn it into a 200.
+	if wait > 0 {
+		timer := time.NewTimer(wait)
+		defer timer.Stop()
+		select {
+		case <-j.done:
+			state, _, _, output, errMsg, _, _, _ := j.snapshot()
+			switch state {
+			case StateDone:
+				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+				w.WriteHeader(http.StatusOK)
+				fmt.Fprint(w, output)
+			case StateCanceled:
+				writeError(w, http.StatusServiceUnavailable, "%s", errMsg)
+			default:
+				writeError(w, http.StatusUnprocessableEntity, "%s", errMsg)
+			}
+			return
+		case <-timer.C:
+		case <-r.Context().Done():
+			// Client gone (this route has no middleware deadline).
 		}
-	case <-timer.C:
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusAccepted, s.view(j))
-	case <-r.Context().Done():
-		// Client gone (this route has no middleware deadline); the job
-		// keeps running and stays pollable at the Location below.
-		w.Header().Set("Location", "/v1/jobs/"+j.id)
-		writeJSON(w, http.StatusAccepted, s.view(j))
 	}
+	// The job keeps running and stays pollable at the Location below.
+	w.Header().Set("Location", "/v1/jobs/"+j.id)
+	writeJSON(w, http.StatusAccepted, s.view(j))
 }
 
 func knownExperiment(name string) bool {
