@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"smthill/internal/pipeline"
+	"smthill/internal/telemetry"
 	"smthill/internal/workload"
 )
 
@@ -13,16 +14,24 @@ import (
 // its high-water capacity, advancing the machine must not allocate at
 // all. A regression here is a real performance bug — one allocation per
 // cycle is worth roughly 10% of simulator throughput — so the test fails
-// on any nonzero count rather than a threshold.
+// on any nonzero count rather than a threshold. It runs with and without
+// a telemetry recorder, whose quiet-cycle bulk recording is on the same
+// path as the always-on recorder of smtserved jobs.
 func TestCycleSteadyStateAllocFree(t *testing.T) {
 	for _, name := range []string{"art-gzip", "art-mcf"} {
-		m := workload.ByName(name).NewMachine(nil)
-		m.CycleN(50_000) // reach steady-state capacities
-		allocs := testing.AllocsPerRun(20, func() {
-			m.CycleN(500)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: steady-state Cycle allocates (%.1f allocs per 500 cycles, want 0)", name, allocs)
+		for _, traced := range []bool{false, true} {
+			w := workload.ByName(name)
+			m := w.NewMachine(nil)
+			if traced {
+				m.SetRecorder(telemetry.NewRecorder(w.Threads()))
+			}
+			m.CycleN(50_000) // reach steady-state capacities
+			allocs := testing.AllocsPerRun(20, func() {
+				m.CycleN(500)
+			})
+			if allocs != 0 {
+				t.Errorf("%s traced=%v: steady-state Cycle allocates (%.1f allocs per 500 cycles, want 0)", name, traced, allocs)
+			}
 		}
 	}
 }

@@ -45,15 +45,17 @@ type FuncRef struct {
 }
 
 // NewHotAllocRule returns the project configuration: the cycle path of
-// internal/pipeline, rooted at the single-machine loop (Machine.Cycle)
-// and the lock-step batch loop (MachineBatch.CycleAll — the refill path
-// is amortised per epoch and deliberately outside the contract), with
-// the invariant-check and telemetry-recording paths cold.
+// internal/pipeline, rooted at the single-machine loop (Machine.Cycle,
+// and Machine.CycleN with its quiet-cycle skip) and the lock-step batch
+// loop (MachineBatch.CycleAll — the refill path is amortised per epoch
+// and deliberately outside the contract), with the invariant-check and
+// telemetry-recording paths cold.
 func NewHotAllocRule() *HotAllocRule {
 	return &HotAllocRule{
 		Packages: []string{"internal/pipeline"},
 		Roots: []FuncRef{
 			{Recv: "Machine", Name: "Cycle"},
+			{Recv: "Machine", Name: "CycleN"},
 			{Recv: "MachineBatch", Name: "CycleAll"},
 		},
 		Cold: []string{

@@ -11,6 +11,14 @@
 // any partitioned structure, exactly as described in Section 3.2 of the
 // paper.
 //
+// Memory-bound threads leave the machine quiet for long stretches: every
+// thread waits on an L2 miss or a fetch redirect and no stage can act.
+// CycleN jumps the clock over such stretches to the cycle before the
+// next completion, fetch-stall expiry, global-stall end or policy timer
+// (Policy.Horizon), recording the skipped cycles in bulk, so the result
+// is identical to stepping every cycle. With invariant checks on it
+// steps every cycle, which makes -check the per-cycle reference.
+//
 // The entire machine state is deep-copyable via CloneInto, which is the
 // checkpoint primitive used by the paper's OFF-LINE exhaustive learning
 // and RAND-HILL algorithms: a clone replays the identical future
@@ -263,6 +271,11 @@ type Machine struct {
 	// SetInvariantChecks (see check.go). Like rec, the off state costs one
 	// nil-test per cycle.
 	inv *invariantState
+
+	// acted is set by every stage that changes machine state during the
+	// current cycle (see cycle); CycleN skips ahead only after a cycle
+	// that left it clear.
+	acted bool
 }
 
 // Policy is a per-cycle resource distribution mechanism (FLUSH, STALL,
@@ -284,9 +297,20 @@ type Policy interface {
 	OnL2Miss(m *Machine, th int, seq uint64)
 	// OnL2MissDone fires when that load completes.
 	OnL2MissDone(m *Machine, th int, seq uint64)
+	// Horizon returns the earliest cycle, at or after m.Now(), at which
+	// the policy could act or change its FetchLocked answers with no
+	// pipeline event (commit, writeback, issue, dispatch, fetch, flush)
+	// prompting it: a timer firing, a classification expiring. Never
+	// means only events move it. CycleN skips quiet cycles up to this
+	// bound; a policy unsure of its answer returns m.Now(), and any
+	// value not after m.Now() disables skipping.
+	Horizon(m *Machine) uint64
 	// Clone returns an independent deep copy.
 	Clone() Policy
 }
+
+// Never is the Horizon of a policy that has no timed behaviour.
+const Never = ^uint64(0)
 
 // NilPolicy is the no-op policy: plain ICOUNT fetch with fully shared
 // resources.
@@ -306,6 +330,9 @@ func (NilPolicy) OnL2Miss(*Machine, int, uint64) {}
 
 // OnL2MissDone implements Policy.
 func (NilPolicy) OnL2MissDone(*Machine, int, uint64) {}
+
+// Horizon implements Policy.
+func (NilPolicy) Horizon(*Machine) uint64 { return Never }
 
 // Clone implements Policy.
 func (NilPolicy) Clone() Policy { return NilPolicy{} }

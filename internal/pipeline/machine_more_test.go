@@ -78,6 +78,7 @@ func (stubPolicy) Cycle(*Machine)                     {}
 func (stubPolicy) FetchLocked(*Machine, int) bool     { return false }
 func (stubPolicy) OnL2Miss(*Machine, int, uint64)     {}
 func (stubPolicy) OnL2MissDone(*Machine, int, uint64) {}
+func (stubPolicy) Horizon(*Machine) uint64            { return Never }
 func (stubPolicy) Clone() Policy                      { return stubPolicy{} }
 
 func TestStallExtendsNotShortens(t *testing.T) {

@@ -17,8 +17,18 @@ import (
 // reaches a stable capacity and is recycled in place. The smtlint
 // hotalloc rule guards that contract statically; the AllocsPerRun test
 // in alloc_test.go guards it dynamically.
-func (m *Machine) Cycle() {
+func (m *Machine) Cycle() { m.cycle() }
+
+// cycle runs one cycle and reports whether it acted: committed, wrote
+// back, issued, dispatched, fetched (an instruction-cache miss or the
+// end of a stream counts), flushed, or reprogrammed the resource table.
+// A cycle that did none of these leaves every input of the next cycle
+// unchanged except the clock; the only state it may touch is timed
+// bookkeeping that Policy.Horizon and nextEvent account for.
+func (m *Machine) cycle() bool {
 	stalled := m.now < m.stallUntil
+	ver := m.res.Version()
+	m.acted = false
 	m.commit(stalled)
 	m.writeback()
 	if !stalled {
@@ -28,20 +38,65 @@ func (m *Machine) Cycle() {
 		m.policy.Cycle(m)
 	}
 	if m.rec != nil {
-		m.record(stalled)
+		m.record(stalled, 1)
 	}
 	m.now++
 	m.cycles++
 	if m.inv != nil {
 		m.checkCycle()
 	}
+	return m.acted || m.res.Version() != ver
 }
 
-// CycleN advances the machine by n cycles.
+// CycleN advances the machine by n cycles. After a cycle in which no
+// stage acted, the machine stays quiet until the next event, so CycleN
+// jumps the clock to the cycle before it and runs that cycle for real:
+// per-cycle bookkeeping such as DCRA's last-miss stamp lands exactly as
+// if every cycle had run, and a recorder receives the skipped cycles in
+// bulk. The result is identical to n calls of Cycle. With invariant
+// checks on, every cycle is stepped.
 func (m *Machine) CycleN(n int) {
-	for i := 0; i < n; i++ {
-		m.Cycle()
+	end := m.now + uint64(max(n, 0))
+	for m.now < end {
+		if m.cycle() || m.inv != nil {
+			continue
+		}
+		if next := m.nextEvent(end); next > m.now+1 {
+			m.skip(next - 1 - m.now)
+		}
 	}
+}
+
+// nextEvent returns the earliest cycle, from now up to end, at which a
+// quiet machine could act again: the next non-empty completion-ring
+// slot, a thread's fetch-stall expiry, the end of a global stall, or
+// the policy's Horizon.
+func (m *Machine) nextEvent(end uint64) uint64 {
+	next := min(end, m.policy.Horizon(m))
+	if m.stallUntil >= m.now {
+		next = min(next, m.stallUntil)
+	}
+	for i := range m.threads {
+		if fs := m.threads[i].fetchStall; fs >= m.now {
+			next = min(next, fs)
+		}
+	}
+	ring := uint64(len(m.doneRing))
+	for c := m.now; c < next && c < m.now+ring; c++ {
+		if len(m.doneRing[c%ring]) > 0 {
+			return c
+		}
+	}
+	return next
+}
+
+// skip advances the clock over k quiet cycles, recording them in bulk.
+func (m *Machine) skip(k uint64) {
+	if m.rec != nil {
+		m.record(m.now < m.stallUntil, k)
+	}
+	m.now += k
+	m.cycles += k
 }
 
 // Done reports whether every stream is exhausted and the pipeline has
@@ -76,6 +131,9 @@ func (m *Machine) commit(stalled bool) {
 				progress = true
 			}
 		}
+	}
+	if budget < m.cfg.CommitWidth {
+		m.acted = true
 	}
 }
 
@@ -145,6 +203,7 @@ func (m *Machine) writeback() {
 	if len(events) == 0 {
 		return
 	}
+	m.acted = true
 	for _, r := range events {
 		e := m.get(r)
 		if e == nil || e.done || !e.issued {
@@ -313,6 +372,9 @@ func (m *Machine) issue() {
 		out = append(out, ent)
 	}
 	m.readyQ = out
+	if budget < m.cfg.IssueWidth {
+		m.acted = true
+	}
 }
 
 // tryIssue issues one ready instruction if a functional unit of its
@@ -407,6 +469,9 @@ func (m *Machine) dispatch() {
 				progress = true
 			}
 		}
+	}
+	if budget < m.cfg.FetchWidth {
+		m.acted = true
 	}
 }
 
@@ -559,6 +624,12 @@ func (m *Machine) fetch() {
 		counts[i] = c
 		n++
 	}
+	if n == 0 {
+		return
+	}
+	// An eligible thread always changes state: it fetches, misses in
+	// the instruction cache, or finds its stream exhausted.
+	m.acted = true
 	if n > m.cfg.FetchThreads {
 		n = m.cfg.FetchThreads
 	}
@@ -631,6 +702,7 @@ func (m *Machine) fetchThread(th int, budget int) int {
 // squashed instructions are re-fetched later. This is the recovery action
 // of the FLUSH policy (Tullsen & Brown) and the paper's Section 2.
 func (m *Machine) FlushAfter(th int, seq uint64) {
+	m.acted = true
 	t := &m.threads[th]
 	// Walk the ROB tail (youngest first), squashing while Seq > seq.
 	squashed := 0

@@ -5,37 +5,39 @@ import (
 	"smthill/internal/telemetry"
 )
 
-// record fills the attached telemetry recorder for the cycle that just
-// ran: per-thread occupancy samples, L2-miss exposure, and one stall
-// attribution each for fetch and dispatch. It runs only when a recorder
-// is attached (one nil-check branch in Cycle), so the uninstrumented hot
-// loop stays within the <2% overhead contract pinned by
-// BenchmarkSimulatorSpeed.
-func (m *Machine) record(stalled bool) {
+// record fills the attached telemetry recorder for k identical cycles
+// starting at the current one: per-thread occupancy samples, L2-miss
+// exposure, and one stall attribution each for fetch and dispatch. Cycle
+// records one cycle after its stages have settled; CycleN records a
+// skipped quiet stretch in one call, since nothing it samples changes
+// across the stretch. It runs only when a recorder is attached (one
+// nil-check branch in Cycle), so the uninstrumented hot loop stays
+// within the <2% overhead contract pinned by BenchmarkSimulatorSpeed.
+func (m *Machine) record(stalled bool, k uint64) {
 	rec := m.rec
 	if rec == nil {
 		return
 	}
-	rec.Cycles++
+	rec.Cycles += k
 	if stalled {
-		rec.Stalled++
+		rec.Stalled += k
 	}
 	for th := range m.threads {
 		t := &m.threads[th]
 		c := &rec.Threads[th]
-		c.IQOcc.Observe(m.res.Occ(th, resource.IntIQ) + m.res.Occ(th, resource.FpIQ))
-		c.ROBOcc.Observe(m.res.Occ(th, resource.ROB))
+		c.IQOcc.ObserveN(m.res.Occ(th, resource.IntIQ)+m.res.Occ(th, resource.FpIQ), k)
+		c.ROBOcc.ObserveN(m.res.Occ(th, resource.ROB), k)
 		if t.outstandingL2 > 0 {
-			c.L2Outstanding++
+			c.L2Outstanding += k
 		}
 		if stalled {
 			continue // the whole machine stalled; per-stage reasons don't apply
 		}
 		if r, ok := m.fetchStallReason(th); ok {
-			c.Fetch[r]++
+			c.Fetch[r] += k
 		}
 		if r, ok := m.dispatchStallReason(th); ok {
-			c.Dispatch[r]++
+			c.Dispatch[r] += k
 		}
 	}
 }

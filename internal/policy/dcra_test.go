@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"slices"
 	"testing"
 
 	"smthill/internal/isa"
@@ -51,5 +52,42 @@ func TestDCRAEqualSplitWhenHomogeneous(t *testing.T) {
 	l1 := m.Resources().Limit(1, resource.IntRename)
 	if l0 != l1 {
 		t.Fatalf("homogeneous threads capped unevenly: %d vs %d", l0, l1)
+	}
+}
+
+// TestDCRAVersionSteadyWithoutReclassification: DCRA rewrites its caps
+// every cycle, but the resource table's version moves only on cycles
+// where a cap changed. Between reclassifications the version holds, so
+// the invariant checker's over-limit drain check (which compares
+// occupancy across cycles of unchanged programming) has work to do.
+func TestDCRAVersionSteadyWithoutReclassification(t *testing.T) {
+	profs := []trace.Profile{memProfile(1), ilpProfile(2)}
+	streams := []isa.Stream{trace.New(profs[0]), trace.New(profs[1])}
+	m := pipeline.New(pipeline.DefaultConfig(2), streams, NewDCRA())
+	m.SetInvariantChecks(true)
+	res := m.Resources()
+	limits := func() (out []int) {
+		for th := 0; th < m.Threads(); th++ {
+			for _, k := range partitioned {
+				out = append(out, res.Limit(th, k))
+			}
+		}
+		return out
+	}
+	const cycles = 20_000
+	steady := 0
+	for i := 0; i < cycles; i++ {
+		before, v := limits(), res.Version()
+		m.Cycle()
+		moved := !slices.Equal(before, limits())
+		if moved == (res.Version() == v) {
+			t.Fatalf("cycle %d: caps moved=%v but version %d -> %d", m.Now(), moved, v, res.Version())
+		}
+		if !moved {
+			steady++
+		}
+	}
+	if steady < cycles/2 {
+		t.Fatalf("only %d of %d cycles kept DCRA's programming; reclassification should be rare", steady, cycles)
 	}
 }

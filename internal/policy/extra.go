@@ -84,6 +84,10 @@ func (s *StallFlush) OnL2MissDone(m *pipeline.Machine, th int, seq uint64) {
 	}
 }
 
+// Horizon implements pipeline.Policy: the hybrid flushes on occupancy
+// and miss state alone, never on a timer.
+func (*StallFlush) Horizon(*pipeline.Machine) uint64 { return pipeline.Never }
+
 // Clone implements pipeline.Policy.
 func (s *StallFlush) Clone() pipeline.Policy {
 	c := &StallFlush{ExhaustionFrac: s.ExhaustionFrac}
@@ -119,6 +123,10 @@ func (*DG) OnL2Miss(*pipeline.Machine, int, uint64) {}
 
 // OnL2MissDone implements pipeline.Policy.
 func (*DG) OnL2MissDone(*pipeline.Machine, int, uint64) {}
+
+// Horizon implements pipeline.Policy: gating follows the outstanding
+// miss count, which only issue and writeback change.
+func (*DG) Horizon(*pipeline.Machine) uint64 { return pipeline.Never }
 
 // Clone implements pipeline.Policy.
 func (d *DG) Clone() pipeline.Policy { c := *d; return &c }
@@ -227,6 +235,10 @@ func (p *PDG) OnL2MissDone(m *pipeline.Machine, th int, seq uint64) {
 	p.ensure(m)
 	p.observe(th, uint32(seq), false)
 }
+
+// Horizon implements pipeline.Policy: the predictor trains only on
+// miss events, so gating has no timed component.
+func (*PDG) Horizon(*pipeline.Machine) uint64 { return pipeline.Never }
 
 // Clone implements pipeline.Policy.
 func (p *PDG) Clone() pipeline.Policy {

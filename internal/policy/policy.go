@@ -54,6 +54,10 @@ func (*Stall) OnL2Miss(*pipeline.Machine, int, uint64) {}
 // OnL2MissDone implements pipeline.Policy.
 func (*Stall) OnL2MissDone(*pipeline.Machine, int, uint64) {}
 
+// Horizon implements pipeline.Policy: the lock follows the outstanding
+// miss count, which only issue and writeback change.
+func (*Stall) Horizon(*pipeline.Machine) uint64 { return pipeline.Never }
+
 // Clone implements pipeline.Policy.
 func (s *Stall) Clone() pipeline.Policy { c := *s; return &c }
 
@@ -156,6 +160,18 @@ func (f *Flush) OnL2MissDone(m *pipeline.Machine, th int, seq uint64) {
 	}
 }
 
+// Horizon implements pipeline.Policy: the earliest armed trigger's
+// firing cycle.
+func (f *Flush) Horizon(*pipeline.Machine) uint64 {
+	h := pipeline.Never
+	for th, armed := range f.pending {
+		if armed {
+			h = min(h, f.pendFire[th])
+		}
+	}
+	return h
+}
+
 // Clone implements pipeline.Policy.
 func (f *Flush) Clone() pipeline.Policy {
 	c := &Flush{Threshold: f.Threshold}
@@ -253,6 +269,23 @@ func (*DCRA) OnL2Miss(*pipeline.Machine, int, uint64) {}
 
 // OnL2MissDone implements pipeline.Policy.
 func (*DCRA) OnL2MissDone(*pipeline.Machine, int, uint64) {}
+
+// Horizon implements pipeline.Policy: the earliest cycle a slow thread
+// with no DL1 miss outstanding turns fast as its hysteresis window
+// closes. A thread with a miss outstanding stays slow until writeback
+// clears it.
+func (d *DCRA) Horizon(m *pipeline.Machine) uint64 {
+	h := pipeline.Never
+	for th, last := range d.lastMiss {
+		if last == 0 || m.OutstandingDMiss(th) > 0 {
+			continue
+		}
+		if expiry := last - 1 + d.Hysteresis; expiry >= m.Now() {
+			h = min(h, expiry)
+		}
+	}
+	return h
+}
 
 // Clone implements pipeline.Policy.
 func (d *DCRA) Clone() pipeline.Policy {

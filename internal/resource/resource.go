@@ -282,13 +282,18 @@ func (t *Table) SetSharesRenameOnly(shares Shares) {
 
 // SetLimit programs one thread's limit for one structure directly. It is
 // used by the independent-partitioning ablation and by DCRA, which derives
-// its own per-structure caps.
+// its own per-structure caps every cycle. Re-programming the limit
+// already in force under direct programming changes nothing, not even
+// the Version.
 func (t *Table) SetLimit(th int, k Kind, limit int) {
 	if limit > t.sizes[k] {
 		limit = t.sizes[k]
 	}
 	if limit < 1 {
 		limit = 1
+	}
+	if t.mode == modeNone && t.limit[t.idx(th, k)] == limit {
+		return
 	}
 	t.limit[t.idx(th, k)] = limit
 	t.shares, t.mode = nil, modeNone
@@ -345,10 +350,11 @@ func (t *Table) AtPartitionLimit(th int) bool {
 }
 
 // Version returns a counter that increments on every partition
-// reprogramming (SetShares, SetSharesRenameOnly, SetLimit,
-// ClearPartitions). Per-cycle invariant checks use it to distinguish
-// occupancy legitimately draining down to a just-shrunk limit from
-// occupancy growing past its limit.
+// reprogramming (SetShares, SetSharesRenameOnly, ClearPartitions, and a
+// SetLimit that changes a limit or leaves share-based programming).
+// Per-cycle invariant checks use it to distinguish occupancy
+// legitimately draining down to a just-shrunk limit from occupancy
+// growing past its limit; CycleN treats a change as pipeline activity.
 func (t *Table) Version() uint64 { return t.version }
 
 // ProgrammedShares returns a copy of the share vector currently in force

@@ -220,6 +220,33 @@ func TestSetLimitClamps(t *testing.T) {
 	}
 }
 
+// TestSetLimitUnchangedKeepsVersion: re-programming the limit already in
+// force is a no-op, so a policy that rewrites its caps every cycle (DCRA)
+// bumps the version only when a cap actually moves, and leaving
+// share-based programming always counts as a change.
+func TestSetLimitUnchangedKeepsVersion(t *testing.T) {
+	tab := NewTable(2, DefaultSizes())
+	tab.SetLimit(0, ROB, 100)
+	v := tab.Version()
+	tab.SetLimit(0, ROB, 100)
+	if tab.Version() != v {
+		t.Fatal("unchanged SetLimit bumped the version")
+	}
+	tab.SetLimit(0, ROB, 101)
+	if tab.Version() == v {
+		t.Fatal("changed SetLimit kept the version")
+	}
+	tab.SetShares(EqualShares(2, 256))
+	v = tab.Version()
+	tab.SetLimit(0, ROB, tab.Limit(0, ROB))
+	if tab.Version() == v {
+		t.Fatal("SetLimit leaving share programming kept the version")
+	}
+	if _, ok := tab.ProgrammedShares(); ok {
+		t.Fatal("SetLimit left the share vector in force")
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	tab := NewTable(2, DefaultSizes())
 	tab.SetShares(Shares{100, 156})

@@ -9,6 +9,8 @@
 // yields an independent generator that replays the identical sequence.
 package rng
 
+import "math"
+
 // Rng is a xoshiro256** generator. The zero value is not a valid
 // generator; obtain one with New. Copying an Rng copies its state.
 type Rng struct {
@@ -70,14 +72,37 @@ func (r *Rng) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
+// Uint53 returns the next value reduced to its top 53 bits: the integer
+// behind Float64, uniform in [0, 2^53).
+func (r *Rng) Uint53() uint64 { return r.Uint64() >> 11 }
+
 // Float64 returns a value uniformly distributed in [0, 1).
 func (r *Rng) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(r.Uint53()) / (1 << 53)
 }
+
+// Threshold converts a probability into the integer cut ⌈p·2^53⌉,
+// clamped to [0, 2^53], for which Uint53() < Threshold(p) holds exactly
+// when Float64() < p would: Float64 is Uint53 scaled by 2^-53, which is
+// exact, so the float compare and the integer one agree on every draw.
+// Generators precompute their cuts once and compare integers per draw.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0): // also NaN: Float64() < NaN is never true
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below draws the next value and reports whether it falls below the cut
+// t: Below(Threshold(p)) is Float64() < p, draw for draw.
+func (r *Rng) Below(t uint64) bool { return r.Uint53() < t }
 
 // Bool returns true with probability p.
 func (r *Rng) Bool(p float64) bool {
-	return r.Float64() < p
+	return r.Below(Threshold(p))
 }
 
 // Geometric returns a sample from a geometric distribution with mean m
@@ -88,9 +113,9 @@ func (r *Rng) Geometric(m float64) int {
 	if m <= 1 {
 		return 1
 	}
-	p := 1 / m
+	t := Threshold(1 / m)
 	n := 1
-	for !r.Bool(p) && n < int(16*m) {
+	for !r.Below(t) && n < int(16*m) {
 		n++
 	}
 	return n

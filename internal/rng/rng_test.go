@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -150,6 +151,39 @@ func TestZeroStateGuard(t *testing.T) {
 		a, b := r.Uint64(), r.Uint64()
 		if a == 0 && b == 0 {
 			t.Fatalf("seed %d produced a stuck generator", seed)
+		}
+	}
+}
+
+// TestBelowMatchesFloat64 pins the integer draw compare to the float
+// one it replaces: for every probability, including values a hair
+// either side of a representable cut, Below(Threshold(p)) must agree
+// with Float64() < p on every draw of the same sequence, and at the
+// cut itself.
+func TestBelowMatchesFloat64(t *testing.T) {
+	ps := []float64{0, 0.25, 0.5, 1, math.NaN(), -0.5, 1.5, 0.55, 0.8, 1.0 / 3,
+		math.SmallestNonzeroFloat64, math.Nextafter(1, 0)}
+	for _, k := range []float64{1, 3, 1 << 20, 1<<53 - 1} {
+		at := k / (1 << 53)
+		ps = append(ps, at, math.Nextafter(at, 0), math.Nextafter(at, 1))
+	}
+	for _, p := range ps {
+		cut := Threshold(p)
+		// At the boundary: the integer draws either side of the cut.
+		for _, u := range []uint64{cut - 1, cut, cut + 1} {
+			if u >= 1<<53 {
+				continue
+			}
+			if got, want := u < cut, float64(u)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v: draw %d below cut %d = %v, float compare says %v", p, u, cut, got, want)
+			}
+		}
+		// Draw for draw on a live sequence.
+		a, b := New(7), New(7)
+		for i := 0; i < 10_000; i++ {
+			if got, want := a.Below(cut), b.Float64() < p; got != want {
+				t.Fatalf("p=%v: draw %d: Below = %v, Float64() < p = %v", p, i, got, want)
+			}
 		}
 	}
 }

@@ -103,7 +103,11 @@ type Hist struct {
 }
 
 // Observe records one sample.
-func (h *Hist) Observe(v int) {
+func (h *Hist) Observe(v int) { h.ObserveN(v, 1) }
+
+// ObserveN records n samples of the same value v, exactly as n calls
+// of Observe(v) would.
+func (h *Hist) ObserveN(v int, n uint64) {
 	if v < 0 {
 		v = 0
 	}
@@ -111,9 +115,9 @@ func (h *Hist) Observe(v int) {
 	if i >= HistBuckets {
 		i = HistBuckets - 1
 	}
-	h.Buckets[i]++
-	h.Count++
-	h.Sum += uint64(v)
+	h.Buckets[i] += n
+	h.Count += n
+	h.Sum += uint64(v) * n
 }
 
 // Mean returns the exact mean of all samples (0 with no samples).

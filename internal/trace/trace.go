@@ -232,7 +232,42 @@ type Gen struct {
 	burstLeft int    // independent far loads remaining in current burst
 
 	pole bool // false = A, true = B (current phase pole)
+
+	// cut holds each pole's probabilities as integer draw cuts, indexed
+	// like pole (0 = A, 1 = B).
+	cut [2]cuts
 }
+
+// cuts are one Params pole's probabilities precomputed as rng.Threshold
+// cuts, so every per-instruction Bernoulli draw is an integer compare
+// that decides exactly as rng.Float64() < p would.
+type cuts struct {
+	load, loadStore, fp, mulDiv, chainDep  uint64
+	stride, chase, burst, noise, addrReady uint64
+}
+
+func cutsOf(p *Params) cuts {
+	return cuts{
+		load:      rng.Threshold(p.FracLoad),
+		loadStore: rng.Threshold(p.FracLoad + p.FracStore),
+		fp:        rng.Threshold(p.FracFp),
+		mulDiv:    rng.Threshold(p.FracMulDiv),
+		chainDep:  rng.Threshold(p.ChainDep),
+		stride:    rng.Threshold(p.StridePct),
+		chase:     rng.Threshold(p.PointerChase),
+		burst:     rng.Threshold(p.MissBurstProb),
+		noise:     rng.Threshold(p.BranchNoise),
+		addrReady: rng.Threshold(p.AddrReady),
+	}
+}
+
+// Fixed draw cuts used by every model.
+var (
+	halfCut    = rng.Threshold(0.5)
+	quarterCut = rng.Threshold(0.25)
+	loopCut    = rng.Threshold(0.55) // static branch population mix
+	biasedCut  = rng.Threshold(0.80)
+)
 
 // New returns a generator for profile p producing an unbounded stream.
 func New(p Profile) *Gen {
@@ -249,6 +284,7 @@ func NewLimited(p Profile, limit uint64) *Gen {
 		limit:   limit,
 		destInt: 1,
 		destFp:  1,
+		cut:     [2]cuts{cutsOf(&p.A), cutsOf(&p.B)},
 	}
 	g.branches = make([]branchState, p.Blocks)
 	half := p.Blocks / 2
@@ -261,13 +297,13 @@ func NewLimited(p Profile, limit uint64) *Gen {
 		// The fixed taken-target stays within the block's half of the
 		// code so the two phase poles execute disjoint block sets.
 		var period, takenLo uint16
-		switch r := g.rng.Float64(); {
-		case r < 0.55: // loop back-edge
+		switch u := g.rng.Uint53(); {
+		case u < loopCut: // loop back-edge
 			period = uint16(8 + g.rng.Intn(25))
 			takenLo = period - 1
-		case r < 0.80: // strongly biased
+		case u < biasedCut: // strongly biased
 			period = 2
-			if g.rng.Bool(0.5) {
+			if g.rng.Below(halfCut) {
 				takenLo = 2 // always taken
 			} else {
 				takenLo = 0 // never taken
@@ -321,12 +357,12 @@ func (g *Gen) nextBlockLen() int {
 	return n
 }
 
-// params returns the currently active behaviour pole.
-func (g *Gen) params() *Params {
+// params returns the currently active behaviour pole and its draw cuts.
+func (g *Gen) params() (*Params, *cuts) {
 	if g.pole {
-		return &g.prof.B
+		return &g.prof.B, &g.cut[1]
 	}
-	return &g.prof.A
+	return &g.prof.A, &g.cut[0]
 }
 
 // phaseHash deterministically maps a segment index to a pseudo-random
@@ -391,19 +427,20 @@ func (g *Gen) srcFar(fp bool) int8 {
 	return r
 }
 
-// srcStable returns an operand that is ready with probability pReady:
-// register 0 models constants, immediates, and stable base registers
-// (stack/global pointers, loop bases) that real code reads pervasively —
-// without it, the 32-register file would chain every instruction to a
-// recent producer and cap the useful window at ~100 instructions,
-// destroying the large-window behaviour the MEM benchmarks exhibit.
-// When the operand is not stable, it binds to a recent producer half the
-// time (a genuine serialisation) and an old register otherwise.
-func (g *Gen) srcStable(fp bool, pReady float64) int8 {
-	if g.rng.Float64() < pReady {
+// srcStable returns an operand that is ready with the probability whose
+// rng.Threshold cut is ready: register 0 models constants, immediates,
+// and stable base registers (stack/global pointers, loop bases) that
+// real code reads pervasively — without it, the 32-register file would
+// chain every instruction to a recent producer and cap the useful
+// window at ~100 instructions, destroying the large-window behaviour
+// the MEM benchmarks exhibit. When the operand is not stable, it binds
+// to a recent producer half the time (a genuine serialisation) and an
+// old register otherwise.
+func (g *Gen) srcStable(fp bool, ready uint64) int8 {
+	if g.rng.Below(ready) {
 		return 0
 	}
-	if g.rng.Bool(0.5) {
+	if g.rng.Below(halfCut) {
 		last := g.lastInt
 		if fp {
 			last = g.lastFp
@@ -435,12 +472,12 @@ func (g *Gen) allocDest(fp bool) int8 {
 
 // memAddr produces the effective address of an ordinary (non-chase,
 // non-burst) access under the active pole.
-func (g *Gen) memAddr(p *Params) uint64 {
+func (g *Gen) memAddr(p *Params, c *cuts) uint64 {
 	ws := p.WorkingSet
 	if ws < 64 {
 		ws = 64
 	}
-	if g.rng.Float64() < p.StridePct {
+	if g.rng.Below(c.stride) {
 		g.strideCur += p.Stride
 		if g.strideCur >= ws {
 			g.strideCur = 0
@@ -458,7 +495,7 @@ func (g *Gen) Next(out *isa.Inst) bool {
 	if g.prof.Kind != PhaseNone && g.seq%g.prof.SegLen == 0 {
 		g.updatePhase()
 	}
-	p := g.params()
+	p, c := g.params()
 
 	*out = isa.Inst{
 		Seq:  g.seq,
@@ -472,7 +509,7 @@ func (g *Gen) Next(out *isa.Inst) bool {
 
 	// Block-ending branch?
 	if g.blockPos == g.blockLen-1 {
-		g.emitBranch(out, p)
+		g.emitBranch(out, c)
 		g.blockPos = 0
 		g.blockLen = g.nextBlockLen()
 		return true
@@ -488,25 +525,24 @@ func (g *Gen) Next(out *isa.Inst) bool {
 		out.Dest = g.allocDest(false)
 		return true
 	}
-	if p.MissBurstProb > 0 && g.rng.Float64() < p.MissBurstProb {
+	if p.MissBurstProb > 0 && g.rng.Below(c.burst) {
 		g.burstLeft = g.rng.Geometric(p.BurstLen)
 	}
 
-	r := g.rng.Float64()
-	switch {
-	case r < p.FracLoad:
-		g.emitLoad(out, p)
-	case r < p.FracLoad+p.FracStore:
-		g.emitStore(out, p)
+	switch u := g.rng.Uint53(); {
+	case u < c.load:
+		g.emitLoad(out, p, c)
+	case u < c.loadStore:
+		g.emitStore(out, p, c)
 	default:
-		g.emitCompute(out, p)
+		g.emitCompute(out, c)
 	}
 	return true
 }
 
-func (g *Gen) emitLoad(out *isa.Inst, p *Params) {
+func (g *Gen) emitLoad(out *isa.Inst, p *Params, c *cuts) {
 	out.Class = isa.Load
-	if p.PointerChase > 0 && g.rng.Float64() < p.PointerChase {
+	if p.PointerChase > 0 && g.rng.Below(c.chase) {
 		// Serially dependent miss: the address comes from this chain's
 		// previous chase load; the destination feeds the chain's next
 		// one. Registers 31 down to 20 are reserved for the chains.
@@ -517,20 +553,20 @@ func (g *Gen) emitLoad(out *isa.Inst, p *Params) {
 		out.Addr = chaseBase + (g.rng.Uint64() % chaseSize &^ 7)
 		return
 	}
-	out.Addr = g.memAddr(p)
-	out.Src1 = g.srcStable(false, p.AddrReady)
-	fp := g.rng.Float64() < p.FracFp
+	out.Addr = g.memAddr(p, c)
+	out.Src1 = g.srcStable(false, c.addrReady)
+	fp := g.rng.Below(c.fp)
 	out.FpDest = fp
 	out.Dest = g.allocDest(fp)
 }
 
-func (g *Gen) emitStore(out *isa.Inst, p *Params) {
+func (g *Gen) emitStore(out *isa.Inst, p *Params, c *cuts) {
 	out.Class = isa.Store
-	out.Addr = g.memAddr(p)
-	out.Src1 = g.srcStable(false, p.AddrReady) // address operand
+	out.Addr = g.memAddr(p, c)
+	out.Src1 = g.srcStable(false, c.addrReady) // address operand
 	// Data operand: usually the most recent result, binding stores into
 	// the dependence fabric.
-	if g.rng.Float64() < 0.5 {
+	if g.rng.Below(halfCut) {
 		out.Src2 = g.lastInt
 	} else {
 		out.Src2 = g.srcFar(false)
@@ -540,12 +576,12 @@ func (g *Gen) emitStore(out *isa.Inst, p *Params) {
 	}
 }
 
-func (g *Gen) emitCompute(out *isa.Inst, p *Params) {
-	fp := g.rng.Float64() < p.FracFp
-	muldiv := g.rng.Float64() < p.FracMulDiv
+func (g *Gen) emitCompute(out *isa.Inst, c *cuts) {
+	fp := g.rng.Below(c.fp)
+	muldiv := g.rng.Below(c.mulDiv)
 	switch {
 	case fp && muldiv:
-		if g.rng.Float64() < 0.25 {
+		if g.rng.Below(quarterCut) {
 			out.Class = isa.FpDiv
 		} else {
 			out.Class = isa.FpMul
@@ -553,7 +589,7 @@ func (g *Gen) emitCompute(out *isa.Inst, p *Params) {
 	case fp:
 		out.Class = isa.FpAlu
 	case muldiv:
-		if g.rng.Float64() < 0.25 {
+		if g.rng.Below(quarterCut) {
 			out.Class = isa.IntDiv
 		} else {
 			out.Class = isa.IntMul
@@ -566,23 +602,23 @@ func (g *Gen) emitCompute(out *isa.Inst, p *Params) {
 	if fp {
 		last = g.lastFp
 	}
-	if last >= 1 && g.rng.Float64() < p.ChainDep {
+	if last >= 1 && g.rng.Below(c.chainDep) {
 		out.Src1 = last // serial chain
 	} else {
-		out.Src1 = g.srcStable(fp, 0.5)
+		out.Src1 = g.srcStable(fp, halfCut)
 	}
-	if g.rng.Float64() < 0.5 {
-		out.Src2 = g.srcStable(fp, 0.5)
+	if g.rng.Below(halfCut) {
+		out.Src2 = g.srcStable(fp, halfCut)
 	}
 	out.Dest = g.allocDest(fp)
 }
 
-func (g *Gen) emitBranch(out *isa.Inst, p *Params) {
+func (g *Gen) emitBranch(out *isa.Inst, c *cuts) {
 	out.Class = isa.Branch
 	b := &g.branches[g.block]
 	taken := b.counter%b.period < b.takenLo
 	b.counter++
-	if p.BranchNoise > 0 && g.rng.Float64() < p.BranchNoise {
+	if c.noise > 0 && g.rng.Below(c.noise) {
 		taken = !taken
 	}
 	out.Taken = taken
