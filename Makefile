@@ -18,8 +18,11 @@ GO ?= go
 # parsers plus an invariant-checked fig9 run.
 ci: vet lint lint-fixtures build race serve-smoke fabric-smoke obs-smoke multicore-smoke benchsmoke bench-gate fuzzsmoke
 
+# vet also fails when any tracked .go file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@out=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 # lint runs the repo's determinism/concurrency/invariant analyzer over
 # every package (see internal/lint and DESIGN.md "Static analysis &

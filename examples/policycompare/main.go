@@ -6,13 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"os"
 
 	"smthill/internal/core"
 	"smthill/internal/metrics"
-	"smthill/internal/policy"
-	"smthill/internal/resource"
+	"smthill/internal/simjob"
 	"smthill/internal/workload"
 )
 
@@ -39,50 +39,18 @@ func main() {
 	}
 	fmt.Println()
 
-	renameRegs := resource.DefaultSizes()[resource.IntRename]
-	type entry struct {
-		label string
-		run   func() []float64
-	}
-	baseline := func(pol string) func() []float64 {
-		return func() []float64 {
-			m := w.NewMachine(policy.ByName(pol))
-			m.CycleN(warmup * core.DefaultEpochSize)
-			r := core.NewRunner(m, core.None{Label: pol}, metrics.WeightedIPC)
-			r.SamplePeriod = 0
-			r.Run(epochs)
-			return r.TotalsSince(0)
-		}
-	}
-	entries := []entry{
-		{"ICOUNT", baseline("ICOUNT")},
-		{"STALL", baseline("STALL")},
-		{"FLUSH", baseline("FLUSH")},
-		{"DCRA", baseline("DCRA")},
-		{"STATIC", func() []float64 {
-			m := w.NewMachine(nil)
-			m.CycleN(warmup * core.DefaultEpochSize)
-			r := core.NewRunner(m, core.NewStatic(w.Threads(), renameRegs), metrics.WeightedIPC)
-			r.SamplePeriod = 0
-			r.Run(epochs)
-			return r.TotalsSince(0)
-		}},
-		{"HILL-WIPC", func() []float64 {
-			m := w.NewMachine(nil)
-			m.CycleN(warmup * core.DefaultEpochSize)
-			r := core.NewRunner(m, core.NewHillClimber(w.Threads(), renameRegs, metrics.WeightedIPC), metrics.WeightedIPC)
-			r.Run(epochs)
-			return r.TotalsSince(0)
-		}},
-	}
-
 	fmt.Printf("%-10s %10s %10s\n", "technique", "sum IPC", "wIPC")
-	for _, e := range entries {
-		ipc := e.run()
-		sum := 0.0
-		for _, v := range ipc {
-			sum += v
+	for _, tech := range []string{"ICOUNT", "STALL", "FLUSH", "DCRA", "STATIC", "HILL-WIPC"} {
+		res, err := simjob.Run(context.Background(),
+			simjob.Spec{Workload: name, Tech: tech, Epochs: epochs, Warmup: warmup}, nil)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
 		}
-		fmt.Printf("%-10s %10.3f %10.3f\n", e.label, sum, metrics.WeightedIPC.Eval(ipc, singles))
+		ipc := make([]float64, len(res.Threads))
+		for i, th := range res.Threads {
+			ipc[i] = th.IPC
+		}
+		fmt.Printf("%-10s %10.3f %10.3f\n", tech, res.TotalIPC, metrics.WeightedIPC.Eval(ipc, singles))
 	}
 }

@@ -135,7 +135,6 @@ func TestSynchronizedBaselinesMatchFreeRunning(t *testing.T) {
 	m.CycleN(cfg.WarmupEpochs * cfg.EpochSize)
 	r := core.NewRunner(m, core.None{Label: "ICOUNT"}, metrics.WeightedIPC)
 	r.EpochSize = cfg.EpochSize
-	r.SamplePeriod = 0
 	r.ReferenceSingles = experiment.Singles(cfg, w)
 	freeMean := 0.0
 	for _, e := range r.Run(cfg.Epochs) {

@@ -29,7 +29,9 @@ type Runner struct {
 	// EpochSize is the epoch length in cycles.
 	EpochSize int
 	// SamplePeriod controls SingleIPC sampling (0 disables it). Samples
-	// are only taken when Metric.NeedsSingleIPC().
+	// are only taken when Metric.NeedsSingleIPC() and Dist learns: the
+	// non-learning distributors None (the ICOUNT/STALL/FLUSH/DCRA
+	// baselines) and *Static never read the score, so they never sample.
 	SamplePeriod int
 	// ReferenceSingles, when non-nil, supplies known stand-alone IPCs
 	// and disables on-line sampling (used by the idealised algorithms
@@ -156,9 +158,14 @@ func (r *Runner) emitEpoch(res *EpochResult) {
 // biases the weighted-IPC gradient until every thread has been measured —
 // and afterwards one thread is refreshed every SamplePeriod epochs in
 // rotation, so each thread's SingleIPC refreshes every SamplePeriod*T
-// epochs (Section 4.2).
+// epochs (Section 4.2). A distributor that does not learn never
+// samples: the paper's sampling belongs to the hill-climber.
 func (r *Runner) needsSample() (int, bool) {
 	if r.ReferenceSingles != nil || r.SamplePeriod <= 0 || !r.Metric.NeedsSingleIPC() {
+		return 0, false
+	}
+	switch r.Dist.(type) {
+	case None, *Static:
 		return 0, false
 	}
 	t := r.M.Threads()

@@ -4,8 +4,11 @@ import (
 	"testing"
 
 	"smthill/internal/metrics"
+	"smthill/internal/pipeline"
+	"smthill/internal/policy"
 	"smthill/internal/resource"
 	"smthill/internal/trace"
+	"smthill/internal/workload"
 )
 
 // recordingDist captures every prev result the Runner feeds to Decide.
@@ -122,6 +125,50 @@ func TestNoSamplingWhenDisabled(t *testing.T) {
 			}
 			if len(rec.calls) != 6 {
 				t.Fatalf("%s: Decide called %d times, want 6", tc.name, len(rec.calls))
+			}
+		})
+	}
+}
+
+// TestNonLearningRunnersNeverSample: SingleIPC sampling belongs to the
+// learner. A baseline under None or a STATIC partition never reads the
+// score, so even with a weighted metric and the default period its run
+// has no sampling epoch and never fetch-disables a thread.
+func TestNonLearningRunnersNeverSample(t *testing.T) {
+	w := workload.ByName("art-mcf-fma3d-gcc")
+	type run struct {
+		name string
+		pol  string
+		dist Distributor
+	}
+	var runs []run
+	for _, pol := range []string{"ICOUNT", "STALL", "FLUSH", "DCRA"} {
+		runs = append(runs, run{pol, pol, None{Label: pol}})
+	}
+	runs = append(runs, run{"STATIC", "", NewStatic(w.Threads(), resource.DefaultSizes()[resource.IntRename])})
+	for _, tc := range runs {
+		t.Run(tc.name, func(t *testing.T) {
+			var pol pipeline.Policy
+			if tc.pol != "" {
+				pol = policy.ByName(tc.pol)
+			}
+			m := w.NewMachine(pol)
+			r := NewRunner(m, tc.dist, metrics.WeightedIPC)
+			r.EpochSize = 2 * 1024
+			if r.SamplePeriod != DefaultSamplePeriod {
+				t.Fatalf("SamplePeriod %d, want the default %d", r.SamplePeriod, DefaultSamplePeriod)
+			}
+			for e := 0; e < 2*w.Threads()+1; e++ {
+				r.PrepareEpoch()
+				for th := 0; th < w.Threads(); th++ {
+					if !m.FetchEnabled(th) {
+						t.Fatalf("epoch %d: thread %d fetch-disabled", e, th)
+					}
+				}
+				m.CycleN(r.EpochSize)
+				if res := r.FinishEpoch(); res.Sample {
+					t.Fatalf("epoch %d samples thread %d", e, res.SampledThread)
+				}
 			}
 		})
 	}

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"strings"
 
-	"smthill/internal/metrics"
 	"smthill/internal/simjob"
 	"smthill/internal/sweep"
 	"smthill/internal/workload"
@@ -28,10 +27,10 @@ import (
 // exact raw JSON bytes the engine stored for it — the bytes a local
 // computation of that key would have memoised, so remote and local
 // results are interchangeable. It runs simjob keys (smtserved specs and
-// the mcpair runs) as well as the experiment families. ok=false means
-// the key belongs to no family this build runs (the caller computes
-// locally); an error means the key named a family but was refused or
-// failed.
+// the figures' baseline, HILL and mcpair runs) as well as the experiment
+// families. ok=false means the key belongs to no family this build runs
+// (the caller computes locally); an error means the key named a family
+// but was refused or failed.
 func ExecKeyOn(ctx context.Context, eng *sweep.Engine, key string) (raw json.RawMessage, ok bool, err error) {
 	j, ok, err := decodeKey(key)
 	if !ok || err != nil {
@@ -75,21 +74,19 @@ func withSingles[R any](cfg Config, w workload.Workload, build func(Config, work
 }
 
 // keyArgs are a key's decoded parameters: the Config fields by key name,
-// the workload, and the strings some families add.
+// the workload, and the application some families add.
 type keyArgs struct {
-	cfg    Config
-	w      workload.Workload
-	app    string
-	pol    string
-	metric metrics.Kind
+	cfg Config
+	w   workload.Workload
+	app string
 }
 
 // families rebuilds each experiment job family from its decoded key.
+// Baseline and HILL runs have no family here: they are simjob specs
+// (techSpec), decoded by simjob.SpecFromKey.
 var families = map[string]func(a keyArgs) keyedJob{
 	"solo":      func(a keyArgs) keyedJob { return keyed(soloJob(a.app, a.cfg.SoloCycles)) },
 	"table2":    func(a keyArgs) keyedJob { return keyed(table2Job(a.cfg, a.app)) },
-	"baseline":  func(a keyArgs) keyedJob { return keyed(baselineJob(a.cfg, a.w, a.pol)) },
-	"hill":      func(a keyArgs) keyedJob { return keyed(hillJob(a.cfg, a.w, a.metric)) },
 	"phasehill": func(a keyArgs) keyedJob { return keyed(phaseHillJob(a.cfg, a.w)) },
 	"offline":   func(a keyArgs) keyedJob { return withSingles(a.cfg, a.w, offLineJob) },
 	"randhill":  func(a keyArgs) keyedJob { return withSingles(a.cfg, a.w, randHillJob) },
@@ -98,7 +95,7 @@ var families = map[string]func(a keyArgs) keyedJob{
 // decodeKey rebuilds the job key names without running anything. A
 // parameter the family does not use, a missing one, or a non-canonical
 // spelling makes the rebuilt key differ, and the key is refused; so is
-// an unknown app, policy, metric or workload.
+// an unknown app or workload.
 func decodeKey(key string) (keyedJob, bool, error) {
 	prefix, params, err := sweep.ParseKey(key)
 	if err != nil {
@@ -123,7 +120,7 @@ func decodeKey(key string) (keyedJob, bool, error) {
 		return keyedJob{}, true, fmt.Errorf("experiment: exec %s: %s", key, fmt.Sprintf(format, args...))
 	}
 
-	a := keyArgs{cfg: Default(), app: params["app"], pol: params["pol"]}
+	a := keyArgs{cfg: Default(), app: params["app"]}
 	for _, f := range []struct {
 		name string
 		dst  *int
@@ -146,30 +143,12 @@ func decodeKey(key string) (keyedJob, bool, error) {
 	if _, ok := params["app"]; ok && !knownApp(a.app) {
 		return refuse("unknown application %q", a.app)
 	}
-	if _, ok := params["pol"]; ok && !slices.Contains(baselineNames(), a.pol) {
-		return refuse("unknown baseline policy %q", a.pol)
-	}
-	if v, ok := params["metric"]; ok {
-		if a.metric, err = metricByName(v); err != nil {
-			return refuse("%v", err)
-		}
-	}
 
 	j := build(a)
 	if j.key != key {
 		return refuse("rebuilds to %s", j.key)
 	}
 	return j, true, nil
-}
-
-// metricByName inverts metrics.Kind.String for the kinds job keys use.
-func metricByName(name string) (metrics.Kind, error) {
-	for k := metrics.Kind(0); k < metrics.NumKinds; k++ {
-		if k.String() == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("experiment: unknown metric %q", name)
 }
 
 func knownApp(name string) bool {

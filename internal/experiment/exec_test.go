@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -37,10 +39,10 @@ func TestExecKeyMatchesNativeJobs(t *testing.T) {
 	}{
 		{"solo", soloKey("art", cfg.SoloCycles),
 			func() { mustRun([]sweep.Job[float64]{soloJob("art", cfg.SoloCycles)}) }},
-		{"baseline", baselineKey(cfg, w, "ICOUNT"),
-			func() { mustRun([]sweep.Job[[]float64]{baselineJob(cfg, w, "ICOUNT")}) }},
-		{"hill", hillKey(cfg, w, metrics.WeightedIPC),
-			func() { mustRun([]sweep.Job[[]float64]{hillJob(cfg, w, metrics.WeightedIPC)}) }},
+		{"simjob ICOUNT", techSpec(cfg, w, "ICOUNT").Key(),
+			func() { mustRun([]sweep.Job[simjob.Result]{simjob.Job(techSpec(cfg, w, "ICOUNT"), nil)}) }},
+		{"simjob HILL-WIPC", techSpec(cfg, w, "HILL-WIPC").Key(),
+			func() { mustRun([]sweep.Job[simjob.Result]{simjob.Job(techSpec(cfg, w, "HILL-WIPC"), nil)}) }},
 		{"offline", offLineKey(cfg, w),
 			func() { mustRun([]sweep.Job[offLineResult]{offLineJob(cfg, w, singles)}) }},
 		{"randhill", randHillKey(cfg, w),
@@ -49,7 +51,7 @@ func TestExecKeyMatchesNativeJobs(t *testing.T) {
 			func() { mustRun([]sweep.Job[Table2Row]{table2Job(cfg, "art")}) }},
 		{"phasehill", phaseHillKey(cfg, w),
 			func() { mustRun([]sweep.Job[phaseHillResult]{phaseHillJob(cfg, w)}) }},
-		{"simjob", mc.Key(),
+		{"simjob mcpair", mc.Key(),
 			func() { mustRun([]sweep.Job[simjob.Result]{simjob.Job(mc, nil)}) }},
 	}
 
@@ -77,6 +79,13 @@ func TestExecKeyDeclinesForeignKeys(t *testing.T) {
 		"v99|hill|wl=art-mcf", // foreign results version
 		"not a key at all",
 		"v2|nosuchfamily|wl=art-mcf",
+		// Baseline and HILL runs are simjob specs: the old families are
+		// gone, and so is the simjob schema that sampled baselines.
+		"v2|hill|wl=art-mcf",
+		"v2|hill|es=1024|ep=2|metric=weighted-ipc|wl=art-mcf|wu=1",
+		"v2|baseline|ep=2|es=1024|pol=ICOUNT|wl=art-mcf|wu=1",
+		"v2|baseline|wl=zzz|pol=ICOUNT|es=1024|ep=2|wu=1",
+		"v1|simjob|d=4|ep=2|es=1024|seed=0|tech=DCRA|wl=art-mcf|wu=1",
 	} {
 		if _, handled, err := ExecKeyOn(context.Background(), sweep.NewEngine(1), key); handled || err != nil {
 			t.Errorf("ExecKeyOn(%q) = handled=%v err=%v, want declined", key, handled, err)
@@ -89,14 +98,14 @@ func familyKeys() map[string]string {
 	cfg := tiny()
 	w := workload.ByName("art-mcf")
 	return map[string]string{
-		"solo":      soloKey("art", cfg.SoloCycles),
-		"table2":    table2Key(cfg, "art"),
-		"baseline":  baselineKey(cfg, w, "DCRA"),
-		"hill":      hillKey(cfg, w, metrics.WeightedIPC),
-		"phasehill": phaseHillKey(cfg, w),
-		"offline":   offLineKey(cfg, w),
-		"randhill":  randHillKey(cfg, w),
-		"simjob":    mcpairSpec(cfg, MulticoreWorkloads(2)[0], 2, "random").Key(),
+		"solo":          soloKey("art", cfg.SoloCycles),
+		"table2":        table2Key(cfg, "art"),
+		"phasehill":     phaseHillKey(cfg, w),
+		"offline":       offLineKey(cfg, w),
+		"randhill":      randHillKey(cfg, w),
+		"simjob":        techSpec(cfg, w, "DCRA").Key(),
+		"simjob-hill":   techSpec(cfg, w, "HILL-WIPC").Key(),
+		"simjob-mcpair": mcpairSpec(cfg, MulticoreWorkloads(2)[0], 2, "random").Key(),
 	}
 }
 
@@ -117,7 +126,7 @@ func rekey(t *testing.T, key, name, value string) string {
 
 // TestExecKeyRefusesBeforeRunning: a key that names a family but does
 // not rebuild to itself — a parameter dropped or added, or an unknown
-// app, policy, metric or workload — is refused before any simulation,
+// app, technique or workload — is refused before any simulation,
 // solo references included, touches the engine.
 func TestExecKeyRefusesBeforeRunning(t *testing.T) {
 	keys := familyKeys()
@@ -131,7 +140,7 @@ func TestExecKeyRefusesBeforeRunning(t *testing.T) {
 			bad = append(bad, rekey(t, key, name, "")) // one parameter dropped
 		}
 		bad = append(bad, rekey(t, key, "extra", "1"))
-		if family != "simjob" {
+		if !strings.HasPrefix(family, "simjob") {
 			// A Config field another family reads is extra here too.
 			other := "iters"
 			if family == "randhill" {
@@ -139,20 +148,17 @@ func TestExecKeyRefusesBeforeRunning(t *testing.T) {
 			}
 			bad = append(bad, rekey(t, key, other, "8"))
 		}
-		for name, unknown := range map[string]string{"app": "zzz", "pol": "NOPE", "metric": "nope", "wl": "zzz-yyy"} {
+		for name, unknown := range map[string]string{"app": "zzz", "tech": "NOPE", "wl": "zzz-yyy"} {
 			if _, ok := params[name]; ok {
 				bad = append(bad, rekey(t, key, name, unknown))
 			}
 		}
 	}
 	bad = append(bad,
-		"v2|hill|wl=art-mcf", // missing geometry
-		"v2|hill|wl=art-mcf|metric=nope|es=1024|ep=2|wu=1", // unknown metric
-		"v2|baseline|wl=zzz|pol=ICOUNT|es=1024|ep=2|wu=1",  // unknown workload
-		"v2|solo|app=zzz|cycles=1024",                      // unknown app
-		"v2|solo|app=art|cycles=banana",                    // non-numeric
-		rekey(t, keys["offline"], "es", "08192"),           // non-canonical number
-		rekey(t, keys["offline"], "wl", "art,mcf"),         // non-canonical workload spelling
+		"v2|solo|app=zzz|cycles=1024",              // unknown app
+		"v2|solo|app=art|cycles=banana",            // non-numeric
+		rekey(t, keys["offline"], "es", "08192"),   // non-canonical number
+		rekey(t, keys["offline"], "wl", "art,mcf"), // non-canonical workload spelling
 	)
 
 	soloKeys := []string{soloKey("art", tiny().SoloCycles), soloKey("mcf", tiny().SoloCycles)}
@@ -242,4 +248,54 @@ func FuzzExecKeyDecode(f *testing.F) {
 			t.Fatalf("accepted %q without a runnable job", key)
 		}
 	})
+}
+
+// TestFigureRunsAreSimjobSpecs: Figure 9 runs its baselines and HILL as
+// simjob specs, so apart from the solo references every job it computes
+// has a simjob key, and `smtsim -tech` (simjob.Run outside any engine)
+// reproduces fig9's baseline scores bit for bit.
+func TestFigureRunsAreSimjobSpecs(t *testing.T) {
+	cfg := tiny()
+	loads := []workload.Workload{workload.ByName("art-mcf"), workload.ByName("art-mcf-fma3d-gcc")}
+
+	e := sweep.NewEngine(2)
+	var mu sync.Mutex
+	var computed []string
+	e.SetObserver(func(ev sweep.Event) {
+		if ev.Kind == sweep.JobDone && ev.Source == sweep.FromRun {
+			mu.Lock()
+			computed = append(computed, ev.Key)
+			mu.Unlock()
+		}
+	})
+	var rows []CompareRow
+	withEngine(e, func() { rows = Figure9(cfg, loads) })
+	for _, key := range computed {
+		if strings.HasPrefix(key, keyPrefix("solo")) {
+			continue
+		}
+		if _, ok, err := simjob.SpecFromKey(key); !ok || err != nil {
+			t.Errorf("Figure9 computed %s, not a simjob spec (err %v)", key, err)
+		}
+	}
+
+	for k, w := range loads {
+		singles := Singles(cfg, w)
+		for _, pol := range baselineNames() {
+			res, err := simjob.Run(context.Background(), simjob.Spec{
+				Workload: w.Name(), Tech: pol,
+				Epochs: cfg.Epochs, EpochSize: cfg.EpochSize, Warmup: cfg.WarmupEpochs,
+			}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ipc := make([]float64, len(res.Threads))
+			for i, th := range res.Threads {
+				ipc[i] = th.IPC
+			}
+			if got, want := metrics.WeightedIPC.Eval(ipc, singles), rows[k].Scores[pol]; got != want {
+				t.Errorf("%s %s: simjob.Run scores %v, fig9 %v", w.Name(), pol, got, want)
+			}
+		}
+	}
 }

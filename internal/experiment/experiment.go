@@ -14,9 +14,7 @@ import (
 	"io"
 
 	"smthill/internal/core"
-	"smthill/internal/metrics"
 	"smthill/internal/pipeline"
-	"smthill/internal/policy"
 	"smthill/internal/resource"
 	"smthill/internal/telemetry"
 	"smthill/internal/workload"
@@ -96,48 +94,8 @@ var tele telemetry.Sink
 // concurrently with a running experiment.
 func SetTelemetry(s telemetry.Sink) { tele = s }
 
-// traceMachine attaches a stall-attribution recorder to m when tracing
-// is on, and returns the run label "<workload>/<technique>".
-func traceMachine(m *pipeline.Machine, w workload.Workload, tech string) string {
-	if tele != nil {
-		m.SetRecorder(telemetry.NewRecorder(m.Threads()))
-	}
-	return w.Name() + "/" + tech
-}
-
-// techniques returns the baseline per-cycle policies of the comparison.
+// baselineNames returns the baseline per-cycle policies of the comparison.
 func baselineNames() []string { return []string{"ICOUNT", "FLUSH", "DCRA"} }
-
-// runBaseline measures one baseline policy on w and returns the
-// per-thread IPCs over the measured epochs.
-func runBaseline(cfg Config, w workload.Workload, polName string) []float64 {
-	m := w.NewMachine(policy.ByName(polName))
-	label := traceMachine(m, w, polName)
-	m.CycleN(cfg.WarmupEpochs * cfg.EpochSize)
-	r := core.NewRunner(m, core.None{Label: polName}, metrics.WeightedIPC)
-	r.EpochSize = cfg.EpochSize
-	r.SamplePeriod = 0 // baselines do not sample
-	r.Trace = tele
-	r.TraceLabel = label
-	r.Run(cfg.Epochs)
-	return r.TotalsSince(0)
-}
-
-// runHill measures hill-climbing with the given feedback metric on w.
-func runHill(cfg Config, w workload.Workload, feedback metrics.Kind) []float64 {
-	m := w.NewMachine(nil)
-	label := traceMachine(m, w, "HILL-"+feedback.String())
-	m.CycleN(cfg.WarmupEpochs * cfg.EpochSize)
-	hill := core.NewHillClimber(w.Threads(), m.Resources().Sizes()[renameKind], feedback)
-	hill.Trace = tele
-	hill.TraceLabel = label
-	r := core.NewRunner(m, hill, feedback)
-	r.EpochSize = cfg.EpochSize
-	r.Trace = tele
-	r.TraceLabel = label
-	r.Run(cfg.Epochs)
-	return r.TotalsSince(0)
-}
 
 // commitVector snapshots per-thread committed counts.
 func commitVector(m *pipeline.Machine) []uint64 {

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"smthill/internal/metrics"
-	"smthill/internal/sweep"
 	"smthill/internal/workload"
 )
 
@@ -20,19 +19,10 @@ type Figure10Cell struct {
 }
 
 // Figure10Techniques lists the techniques of Figure 10: the baselines
-// plus hill-climbing driven by each feedback metric.
+// plus hill-climbing driven by each feedback metric, as simjob
+// technique names.
 func Figure10Techniques() []string {
 	return []string{"ICOUNT", "FLUSH", "DCRA", "HILL-IPC", "HILL-WIPC", "HILL-HWIPC"}
-}
-
-// hillVariants maps each Figure 10 HILL technique to its feedback metric.
-var hillVariants = []struct {
-	Tech   string
-	Metric metrics.Kind
-}{
-	{"HILL-IPC", metrics.AvgIPC},
-	{"HILL-WIPC", metrics.WeightedIPC},
-	{"HILL-HWIPC", metrics.HmeanWeightedIPC},
 }
 
 // Figure10 measures every technique on every workload once, recording
@@ -41,31 +31,16 @@ var hillVariants = []struct {
 // one batch.
 func Figure10(cfg Config, loads []workload.Workload) []Figure10Cell {
 	solos := soloBatch(cfg, loads)
-	var jobs []sweep.Job[[]float64]
-	for _, w := range loads {
-		for _, pol := range baselineNames() {
-			jobs = append(jobs, baselineJob(cfg, w, pol))
-		}
-		for _, v := range hillVariants {
-			jobs = append(jobs, hillJob(cfg, w, v.Metric))
-		}
-	}
-	runs := mustRun(jobs)
+	runs := techIPCs(cfg, loads, Figure10Techniques())
 
 	var cells []Figure10Cell
 	for _, w := range loads {
 		singles := singlesFor(solos, w)
-		add := func(tech string, ipc []float64) {
+		for _, tech := range Figure10Techniques() {
 			cells = append(cells, Figure10Cell{
 				Workload: w.Name(), Group: w.Group, Tech: tech,
-				IPC: ipc, Singles: singles,
+				IPC: runs[w.Name()][tech], Singles: singles,
 			})
-		}
-		for _, pol := range baselineNames() {
-			add(pol, runs[baselineKey(cfg, w, pol)])
-		}
-		for _, v := range hillVariants {
-			add(v.Tech, runs[hillKey(cfg, w, v.Metric)])
 		}
 	}
 	return cells

@@ -78,11 +78,7 @@ func PredictBehaviour(label string) string {
 // workloads (the figure's top panel). Runs are one sweep-engine batch.
 func Figure11TwoThread(cfg Config, loads []workload.Workload) []Figure11Row {
 	solos := soloBatch(cfg, loads)
-	var jobs []sweep.Job[[]float64]
-	for _, w := range loads {
-		jobs = append(jobs, hillJob(cfg, w, metrics.WeightedIPC))
-	}
-	runs := mustRun(jobs)
+	runs := techIPCs(cfg, loads, []string{"HILL-WIPC"})
 	offline := offLineBatch(cfg, loads, solos)
 
 	rows := make([]Figure11Row, 0, len(loads))
@@ -92,7 +88,7 @@ func Figure11TwoThread(cfg Config, loads []workload.Workload) []Figure11Row {
 		rows = append(rows, Figure11Row{
 			Workload: w.Name(), Group: w.Group,
 			Scores: map[string]float64{
-				"HILL-WIPC": metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
+				"HILL-WIPC": metrics.WeightedIPC.Eval(runs[w.Name()]["HILL-WIPC"], singles),
 				"OFF-LINE":  metrics.WeightedIPC.Eval(offline[offLineKey(cfg, w)].IPC, singles),
 			},
 			Derived:   label,
@@ -106,14 +102,12 @@ func Figure11TwoThread(cfg Config, loads []workload.Workload) []Figure11Row {
 // 4-thread workloads (the figure's bottom panel).
 func Figure11FourThread(cfg Config, loads []workload.Workload) []Figure11Row {
 	solos := soloBatch(cfg, loads)
+	runs := techIPCs(cfg, loads, []string{"DCRA", "HILL-WIPC"})
 	var jobs []sweep.Job[[]float64]
 	for _, w := range loads {
-		jobs = append(jobs,
-			baselineJob(cfg, w, "DCRA"),
-			hillJob(cfg, w, metrics.WeightedIPC),
-			randHillJob(cfg, w, singlesFor(solos, w)))
+		jobs = append(jobs, randHillJob(cfg, w, singlesFor(solos, w)))
 	}
-	runs := mustRun(jobs)
+	randHills := mustRun(jobs)
 
 	rows := make([]Figure11Row, 0, len(loads))
 	for _, w := range loads {
@@ -122,9 +116,9 @@ func Figure11FourThread(cfg Config, loads []workload.Workload) []Figure11Row {
 		rows = append(rows, Figure11Row{
 			Workload: w.Name(), Group: w.Group,
 			Scores: map[string]float64{
-				"DCRA":      metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, "DCRA")], singles),
-				"HILL-WIPC": metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles),
-				"RAND-HILL": metrics.WeightedIPC.Eval(runs[randHillKey(cfg, w)], singles),
+				"DCRA":      metrics.WeightedIPC.Eval(runs[w.Name()]["DCRA"], singles),
+				"HILL-WIPC": metrics.WeightedIPC.Eval(runs[w.Name()]["HILL-WIPC"], singles),
+				"RAND-HILL": metrics.WeightedIPC.Eval(randHills[randHillKey(cfg, w)], singles),
 			},
 			Derived:   label,
 			Predicted: PredictBehaviour(label),

@@ -7,7 +7,6 @@ import (
 
 	"smthill/internal/core"
 	"smthill/internal/metrics"
-	"smthill/internal/sweep"
 	"smthill/internal/workload"
 )
 
@@ -78,13 +77,7 @@ func aggregateIPC(epochs []core.OffLineEpoch, threads, epochSize int) []float64 
 // engine's parallelism.
 func Figure4(cfg Config, loads []workload.Workload) []CompareRow {
 	solos := soloBatch(cfg, loads)
-	var jobs []sweep.Job[[]float64]
-	for _, w := range loads {
-		for _, pol := range baselineNames() {
-			jobs = append(jobs, baselineJob(cfg, w, pol))
-		}
-	}
-	runs := mustRun(jobs)
+	runs := techIPCs(cfg, loads, baselineNames())
 	offline := offLineBatch(cfg, loads, solos)
 
 	rows := make([]CompareRow, 0, len(loads))
@@ -92,7 +85,7 @@ func Figure4(cfg Config, loads []workload.Workload) []CompareRow {
 		singles := singlesFor(solos, w)
 		scores := map[string]float64{}
 		for _, pol := range baselineNames() {
-			scores[pol] = metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, pol)], singles)
+			scores[pol] = metrics.WeightedIPC.Eval(runs[w.Name()][pol], singles)
 		}
 		scores["OFF-LINE"] = metrics.WeightedIPC.Eval(offline[offLineKey(cfg, w)].IPC, singles)
 		rows = append(rows, CompareRow{Workload: w.Name(), Group: w.Group, Scores: scores})
@@ -104,23 +97,16 @@ func Figure4(cfg Config, loads []workload.Workload) []CompareRow {
 // feedback) versus ICOUNT, FLUSH, and DCRA across workloads.
 func Figure9(cfg Config, loads []workload.Workload) []CompareRow {
 	solos := soloBatch(cfg, loads)
-	var jobs []sweep.Job[[]float64]
-	for _, w := range loads {
-		for _, pol := range baselineNames() {
-			jobs = append(jobs, baselineJob(cfg, w, pol))
-		}
-		jobs = append(jobs, hillJob(cfg, w, metrics.WeightedIPC))
-	}
-	runs := mustRun(jobs)
+	runs := techIPCs(cfg, loads, append(baselineNames(), "HILL-WIPC"))
 
 	rows := make([]CompareRow, 0, len(loads))
 	for _, w := range loads {
 		singles := singlesFor(solos, w)
 		scores := map[string]float64{}
 		for _, pol := range baselineNames() {
-			scores[pol] = metrics.WeightedIPC.Eval(runs[baselineKey(cfg, w, pol)], singles)
+			scores[pol] = metrics.WeightedIPC.Eval(runs[w.Name()][pol], singles)
 		}
-		scores["HILL"] = metrics.WeightedIPC.Eval(runs[hillKey(cfg, w, metrics.WeightedIPC)], singles)
+		scores["HILL"] = metrics.WeightedIPC.Eval(runs[w.Name()]["HILL-WIPC"], singles)
 		rows = append(rows, CompareRow{Workload: w.Name(), Group: w.Group, Scores: scores})
 	}
 	return rows

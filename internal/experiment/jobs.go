@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"strconv"
 
-	"smthill/internal/metrics"
+	"smthill/internal/simjob"
 	"smthill/internal/sweep"
 	"smthill/internal/workload"
 )
@@ -66,11 +66,12 @@ func mustRun[R any](jobs []sweep.Job[R]) map[string]R {
 
 // Job keys encode the workload, technique, and exactly the Config fields
 // the run's result depends on — no more, so results shared between
-// experiments (solo runs, baseline runs) hit the memo and cache across
+// experiments (solo runs, OFF-LINE runs) hit the memo and cache across
 // differing irrelevant fields; no fewer, or the cache would serve wrong
-// results. Constants compiled into the simulator (core.DefaultDelta,
-// sampling defaults, hill-width levels, ...) are covered by
-// resultsVersion.
+// results. Constants compiled into the simulator (sampling defaults,
+// hill-width levels, ...) are covered by resultsVersion. Baseline and
+// HILL runs are simjob specs instead (techSpec), keyed under simjob's
+// own schema version.
 
 // keyPrefix stamps a job family with the results version.
 func keyPrefix(family string) string {
@@ -137,47 +138,45 @@ func singlesFor(solos map[string]float64, w workload.Workload) []float64 {
 	return out
 }
 
-// baselineKey identifies one baseline-policy run. Baselines use no
-// learning and no sampling, so only the epoch geometry matters.
-func baselineKey(cfg Config, w workload.Workload, pol string) string {
-	return sweep.KeyFrom(keyPrefix("baseline"), map[string]string{
-		"wl":  w.Name(),
-		"pol": pol,
-		"es":  strconv.Itoa(cfg.EpochSize),
-		"ep":  strconv.Itoa(cfg.Epochs),
-		"wu":  strconv.Itoa(cfg.WarmupEpochs),
-	})
-}
-
-func baselineJob(cfg Config, w workload.Workload, pol string) sweep.Job[[]float64] {
-	return sweep.Job[[]float64]{
-		Key: baselineKey(cfg, w, pol),
-		Run: func(context.Context) ([]float64, error) {
-			return runBaseline(cfg, w, pol), nil
-		},
+// techSpec is the simjob spec of one run of w under a simjob technique
+// (a baseline such as "DCRA", or a HILL variant such as "HILL-WIPC"):
+// the spec `smtsim -tech` and a /v1/jobs request name, so every path
+// runs it through simjob.Run and shares one memo and cache entry. A
+// zero WarmupEpochs normalises to simjob's default warmup.
+func techSpec(cfg Config, w workload.Workload, tech string) simjob.Spec {
+	return simjob.Spec{
+		Workload:  w.Name(),
+		Tech:      tech,
+		Epochs:    cfg.Epochs,
+		EpochSize: cfg.EpochSize,
+		Warmup:    cfg.WarmupEpochs,
 	}
 }
 
-// hillKey identifies one on-line hill-climbing run. Hill-climbing
-// samples SingleIPC on-line (it never sees reference singles), so
-// SoloCycles does not enter the key.
-func hillKey(cfg Config, w workload.Workload, feedback metrics.Kind) string {
-	return sweep.KeyFrom(keyPrefix("hill"), map[string]string{
-		"wl":     w.Name(),
-		"metric": feedback.String(),
-		"es":     strconv.Itoa(cfg.EpochSize),
-		"ep":     strconv.Itoa(cfg.Epochs),
-		"wu":     strconv.Itoa(cfg.WarmupEpochs),
-	})
-}
-
-func hillJob(cfg Config, w workload.Workload, feedback metrics.Kind) sweep.Job[[]float64] {
-	return sweep.Job[[]float64]{
-		Key: hillKey(cfg, w, feedback),
-		Run: func(context.Context) ([]float64, error) {
-			return runHill(cfg, w, feedback), nil
-		},
+// techIPCs runs every workload of loads under every technique of techs
+// as one batch of simjob jobs and returns the per-thread IPCs over the
+// measured epochs, indexed by workload name, then technique.
+func techIPCs(cfg Config, loads []workload.Workload, techs []string) map[string]map[string][]float64 {
+	var jobs []sweep.Job[simjob.Result]
+	for _, w := range loads {
+		for _, tech := range techs {
+			jobs = append(jobs, simjob.Job(techSpec(cfg, w, tech), tele))
+		}
 	}
+	res := mustRun(jobs)
+	out := make(map[string]map[string][]float64, len(loads))
+	for _, w := range loads {
+		out[w.Name()] = make(map[string][]float64, len(techs))
+		for _, tech := range techs {
+			threads := res[techSpec(cfg, w, tech).Key()].Threads
+			ipc := make([]float64, len(threads))
+			for i, th := range threads {
+				ipc[i] = th.IPC
+			}
+			out[w.Name()][tech] = ipc
+		}
+	}
+	return out
 }
 
 // offLineKey identifies one OFF-LINE ideal run. Its trial scoring reads

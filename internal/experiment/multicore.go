@@ -48,22 +48,16 @@ func MulticoreWorkloads(cores int) []workload.Workload {
 	return out
 }
 
-// mcpairSpec builds the simjob spec for one multi-core pairing run; its
-// Key is the job's key and simjob.Result its result, so a fabric worker
-// or smtserved runs it like any other spec. The workload travels as the
+// mcpairSpec builds the simjob spec for one multi-core pairing run: a
+// HILL-WIPC techSpec on cores cores. The workload travels as the
 // comma-separated application list, the one spelling workload.Parse
 // accepts for any mix. Seed stays 0, so workload, geometry, core count
 // and pairing policy fully determine the result.
 func mcpairSpec(cfg Config, w workload.Workload, cores int, pairing string) simjob.Spec {
-	return simjob.Spec{
-		Workload:  strings.Join(w.Apps, ","),
-		Tech:      "HILL-WIPC",
-		Epochs:    cfg.Epochs,
-		EpochSize: cfg.EpochSize,
-		Warmup:    cfg.WarmupEpochs,
-		Cores:     cores,
-		Pairing:   pairing,
-	}
+	s := techSpec(cfg, w, "HILL-WIPC")
+	s.Workload = strings.Join(w.Apps, ",")
+	s.Cores, s.Pairing = cores, pairing
+	return s
 }
 
 // McPair runs every pairing policy over the multicore workload sets of

@@ -66,13 +66,11 @@ func phaseHillJob(cfg Config, w workload.Workload) sweep.Job[phaseHillResult] {
 // are computed (or cached) once across the whole suite.
 func Section5(cfg Config, loads []workload.Workload) []Section5Row {
 	solos := soloBatch(cfg, loads)
-	hillJobs := make([]sweep.Job[[]float64], 0, len(loads))
+	hills := techIPCs(cfg, loads, []string{"HILL-WIPC"})
 	phaseJobs := make([]sweep.Job[phaseHillResult], 0, len(loads))
 	for _, w := range loads {
-		hillJobs = append(hillJobs, hillJob(cfg, w, metrics.WeightedIPC))
 		phaseJobs = append(phaseJobs, phaseHillJob(cfg, w))
 	}
-	hills := mustRun(hillJobs)
 	phases := mustRun(phaseJobs)
 
 	rows := make([]Section5Row, 0, len(loads))
@@ -83,7 +81,7 @@ func Section5(cfg Config, loads []workload.Workload) []Section5Row {
 			Workload:  w.Name(),
 			Group:     w.Group,
 			Behaviour: PredictBehaviour(DeriveLabel(w)),
-			Hill:      metrics.WeightedIPC.Eval(hills[hillKey(cfg, w, metrics.WeightedIPC)], singles),
+			Hill:      metrics.WeightedIPC.Eval(hills[w.Name()]["HILL-WIPC"], singles),
 			PhaseHill: metrics.WeightedIPC.Eval(ph.IPC, singles),
 			Phases:    ph.Phases,
 			Jumps:     ph.Jumps,

@@ -122,7 +122,7 @@ func l2missFixture(n int) []isa.Inst {
 		r := int8(10 + c)
 		addr[c] += 64 // new block every time: always misses
 		b.load(r, isa.NoReg, addr[c])
-		b.alu(r, r, isa.NoReg)   // waits on the miss
+		b.alu(r, r, isa.NoReg)    // waits on the miss
 		b.alu(20+c, r, isa.NoReg) // second-level consumer
 		b.store(isa.NoReg, 20+c, addr[c]+8)
 		b.alu(2, isa.NoReg, isa.NoReg) // independent filler

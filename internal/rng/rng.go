@@ -85,7 +85,8 @@ func (r *Rng) Float64() float64 {
 // clamped to [0, 2^53], for which Uint53() < Threshold(p) holds exactly
 // when Float64() < p would: Float64 is Uint53 scaled by 2^-53, which is
 // exact, so the float compare and the integer one agree on every draw.
-// Generators precompute their cuts once and compare integers per draw.
+// Generators precompute their cuts once and compare integers per draw,
+// Uint53() < cut, which inlines.
 func Threshold(p float64) uint64 {
 	switch {
 	case !(p > 0): // also NaN: Float64() < NaN is never true
@@ -96,13 +97,9 @@ func Threshold(p float64) uint64 {
 	return uint64(math.Ceil(p * (1 << 53)))
 }
 
-// Below draws the next value and reports whether it falls below the cut
-// t: Below(Threshold(p)) is Float64() < p, draw for draw.
-func (r *Rng) Below(t uint64) bool { return r.Uint53() < t }
-
 // Bool returns true with probability p.
 func (r *Rng) Bool(p float64) bool {
-	return r.Below(Threshold(p))
+	return r.Uint53() < Threshold(p)
 }
 
 // Geometric returns a sample from a geometric distribution with mean m
@@ -115,7 +112,7 @@ func (r *Rng) Geometric(m float64) int {
 	}
 	t := Threshold(1 / m)
 	n := 1
-	for !r.Below(t) && n < int(16*m) {
+	for r.Uint53() >= t && n < int(16*m) {
 		n++
 	}
 	return n

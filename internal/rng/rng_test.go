@@ -157,9 +157,9 @@ func TestZeroStateGuard(t *testing.T) {
 
 // TestBelowMatchesFloat64 pins the integer draw compare to the float
 // one it replaces: for every probability, including values a hair
-// either side of a representable cut, Below(Threshold(p)) must agree
-// with Float64() < p on every draw of the same sequence, and at the
-// cut itself.
+// either side of a representable cut, Uint53() < Threshold(p) must
+// agree with Float64() < p on every draw of the same sequence, and at
+// the cut itself.
 func TestBelowMatchesFloat64(t *testing.T) {
 	ps := []float64{0, 0.25, 0.5, 1, math.NaN(), -0.5, 1.5, 0.55, 0.8, 1.0 / 3,
 		math.SmallestNonzeroFloat64, math.Nextafter(1, 0)}
@@ -181,8 +181,8 @@ func TestBelowMatchesFloat64(t *testing.T) {
 		// Draw for draw on a live sequence.
 		a, b := New(7), New(7)
 		for i := 0; i < 10_000; i++ {
-			if got, want := a.Below(cut), b.Float64() < p; got != want {
-				t.Fatalf("p=%v: draw %d: Below = %v, Float64() < p = %v", p, i, got, want)
+			if got, want := a.Uint53() < cut, b.Float64() < p; got != want {
+				t.Fatalf("p=%v: draw %d: Uint53() < cut = %v, Float64() < p = %v", p, i, got, want)
 			}
 		}
 	}

@@ -46,7 +46,12 @@ const (
 // schemaVersion is folded into Key so cached Results from an older
 // incompatible Result layout are never served. Bump on breaking changes
 // to Result or to the simulation semantics behind it.
-const schemaVersion = 1
+//
+// Version history: 1 was the first keyed schema; 2 stopped SingleIPC
+// sampling under the non-learning techniques (ICOUNT, STALL, FLUSH,
+// DCRA, STATIC), whose version-1 Results spent T epochs with all but
+// one thread fetch-disabled.
+const schemaVersion = 2
 
 // WireVersion is the current Spec JSON wire version. A client may stamp
 // Spec.Version, and Validate rejects versions newer than this build

@@ -2,6 +2,7 @@ package simjob
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -78,15 +79,23 @@ func TestSpecFromKeyRoundTrip(t *testing.T) {
 }
 
 func TestSpecFromKeyForeignFamily(t *testing.T) {
-	if _, ok, err := SpecFromKey("v1|hill|wl=art-mcf|metric=WIPC|es=1024|ep=3|wu=1"); ok || err != nil {
-		t.Fatalf("foreign family: ok=%v err=%v, want false, nil", ok, err)
+	for _, key := range []string{
+		"v1|hill|wl=art-mcf|metric=WIPC|es=1024|ep=3|wu=1",
+		// An older schema's Result means something else: a version-1
+		// baseline sampled SingleIPC.
+		"v1|simjob|d=4|ep=3|es=1024|seed=0|tech=ICOUNT|wl=art-mcf|wu=1",
+	} {
+		if _, ok, err := SpecFromKey(key); ok || err != nil {
+			t.Fatalf("SpecFromKey(%q): ok=%v err=%v, want false, nil", key, ok, err)
+		}
 	}
 }
 
 func TestSpecFromKeyRejectsBadKeys(t *testing.T) {
+	prefix := fmt.Sprintf("v%d|simjob", schemaVersion)
 	for _, key := range []string{
-		"v1|simjob|wl=art-mcf", // missing fields
-		"v1|simjob|wl=no-such-wl|tech=ICOUNT|ep=3|es=1024|wu=1|d=4|seed=0", // unknown workload
+		prefix + "|wl=art-mcf", // missing fields
+		prefix + "|wl=no-such-wl|tech=ICOUNT|ep=3|es=1024|wu=1|d=4|seed=0", // unknown workload
 	} {
 		if _, _, err := SpecFromKey(key); err == nil {
 			t.Errorf("SpecFromKey(%q) accepted", key)

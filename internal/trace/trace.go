@@ -303,7 +303,7 @@ func NewLimited(p Profile, limit uint64) *Gen {
 			takenLo = period - 1
 		case u < biasedCut: // strongly biased
 			period = 2
-			if g.rng.Below(halfCut) {
+			if g.rng.Uint53() < halfCut {
 				takenLo = 2 // always taken
 			} else {
 				takenLo = 0 // never taken
@@ -437,10 +437,10 @@ func (g *Gen) srcFar(fp bool) int8 {
 // to a recent producer half the time (a genuine serialisation) and an
 // old register otherwise.
 func (g *Gen) srcStable(fp bool, ready uint64) int8 {
-	if g.rng.Below(ready) {
+	if g.rng.Uint53() < ready {
 		return 0
 	}
-	if g.rng.Below(halfCut) {
+	if g.rng.Uint53() < halfCut {
 		last := g.lastInt
 		if fp {
 			last = g.lastFp
@@ -477,7 +477,7 @@ func (g *Gen) memAddr(p *Params, c *cuts) uint64 {
 	if ws < 64 {
 		ws = 64
 	}
-	if g.rng.Below(c.stride) {
+	if g.rng.Uint53() < c.stride {
 		g.strideCur += p.Stride
 		if g.strideCur >= ws {
 			g.strideCur = 0
@@ -525,7 +525,7 @@ func (g *Gen) Next(out *isa.Inst) bool {
 		out.Dest = g.allocDest(false)
 		return true
 	}
-	if p.MissBurstProb > 0 && g.rng.Below(c.burst) {
+	if p.MissBurstProb > 0 && g.rng.Uint53() < c.burst {
 		g.burstLeft = g.rng.Geometric(p.BurstLen)
 	}
 
@@ -542,7 +542,7 @@ func (g *Gen) Next(out *isa.Inst) bool {
 
 func (g *Gen) emitLoad(out *isa.Inst, p *Params, c *cuts) {
 	out.Class = isa.Load
-	if p.PointerChase > 0 && g.rng.Below(c.chase) {
+	if p.PointerChase > 0 && g.rng.Uint53() < c.chase {
 		// Serially dependent miss: the address comes from this chain's
 		// previous chase load; the destination feeds the chain's next
 		// one. Registers 31 down to 20 are reserved for the chains.
@@ -555,7 +555,7 @@ func (g *Gen) emitLoad(out *isa.Inst, p *Params, c *cuts) {
 	}
 	out.Addr = g.memAddr(p, c)
 	out.Src1 = g.srcStable(false, c.addrReady)
-	fp := g.rng.Below(c.fp)
+	fp := g.rng.Uint53() < c.fp
 	out.FpDest = fp
 	out.Dest = g.allocDest(fp)
 }
@@ -566,7 +566,7 @@ func (g *Gen) emitStore(out *isa.Inst, p *Params, c *cuts) {
 	out.Src1 = g.srcStable(false, c.addrReady) // address operand
 	// Data operand: usually the most recent result, binding stores into
 	// the dependence fabric.
-	if g.rng.Below(halfCut) {
+	if g.rng.Uint53() < halfCut {
 		out.Src2 = g.lastInt
 	} else {
 		out.Src2 = g.srcFar(false)
@@ -577,11 +577,11 @@ func (g *Gen) emitStore(out *isa.Inst, p *Params, c *cuts) {
 }
 
 func (g *Gen) emitCompute(out *isa.Inst, c *cuts) {
-	fp := g.rng.Below(c.fp)
-	muldiv := g.rng.Below(c.mulDiv)
+	fp := g.rng.Uint53() < c.fp
+	muldiv := g.rng.Uint53() < c.mulDiv
 	switch {
 	case fp && muldiv:
-		if g.rng.Below(quarterCut) {
+		if g.rng.Uint53() < quarterCut {
 			out.Class = isa.FpDiv
 		} else {
 			out.Class = isa.FpMul
@@ -589,7 +589,7 @@ func (g *Gen) emitCompute(out *isa.Inst, c *cuts) {
 	case fp:
 		out.Class = isa.FpAlu
 	case muldiv:
-		if g.rng.Below(quarterCut) {
+		if g.rng.Uint53() < quarterCut {
 			out.Class = isa.IntDiv
 		} else {
 			out.Class = isa.IntMul
@@ -602,12 +602,12 @@ func (g *Gen) emitCompute(out *isa.Inst, c *cuts) {
 	if fp {
 		last = g.lastFp
 	}
-	if last >= 1 && g.rng.Below(c.chainDep) {
+	if last >= 1 && g.rng.Uint53() < c.chainDep {
 		out.Src1 = last // serial chain
 	} else {
 		out.Src1 = g.srcStable(fp, halfCut)
 	}
-	if g.rng.Below(halfCut) {
+	if g.rng.Uint53() < halfCut {
 		out.Src2 = g.srcStable(fp, halfCut)
 	}
 	out.Dest = g.allocDest(fp)
@@ -618,7 +618,7 @@ func (g *Gen) emitBranch(out *isa.Inst, c *cuts) {
 	b := &g.branches[g.block]
 	taken := b.counter%b.period < b.takenLo
 	b.counter++
-	if c.noise > 0 && g.rng.Below(c.noise) {
+	if c.noise > 0 && g.rng.Uint53() < c.noise {
 		taken = !taken
 	}
 	out.Taken = taken
