@@ -9,8 +9,8 @@ GO ?= go
 # queue/SSE/shutdown paths), the process-level daemon smoke, the fabric
 # cluster smoke (coordinator + 2 workers, byte-identical output under
 # -race), the observability smoke (a traced fig4 run across a live
-# coordinator + 2 workers must produce one complete cross-node trace and
-# a federated /metrics/cluster scrape), the multi-core allocation smoke
+# coordinator + 2 workers must produce one complete cross-node trace),
+# the multi-core allocation smoke
 # (an invariant-checked 2-core smtsim run with migrations enabled), one
 # iteration of the cycle-loop benchmarks so a hot-loop
 # regression fails loudly, the benchmark-trajectory gate against the
@@ -66,8 +66,8 @@ fabric-smoke:
 # obs-smoke runs the observability end-to-end check under the race
 # detector: an in-process coordinator and two traced workers execute a
 # traced fig4 sweep; a single trace ID must span submit, dispatch,
-# remote compute, and store write-back, and /metrics/cluster must
-# federate every live worker and mark a killed one stale (see
+# remote compute, and store write-back, every dispatch must name its
+# pick, and /debug/traces must show the trace (see
 # internal/fabric/obs_test.go and DESIGN.md "Observability").
 obs-smoke:
 	$(GO) test -race -run TestObsSmoke -count=1 ./internal/fabric

@@ -14,7 +14,6 @@
 //	GET  /healthz                liveness (503 while draining)
 //	GET  /metrics                text metrics exposition
 //	GET  /debug/traces           recorded trace spans (with -trace-sample)
-//	GET  /metrics/cluster        federated fleet metrics (coordinator role)
 //
 // Identical submissions share the sweep engine's memo and, with
 // -cache-dir, its content-addressed disk cache — the second client gets
@@ -28,11 +27,12 @@
 // "Distributed fabric" section of DESIGN.md):
 //
 //	-role standalone   (default) single-process daemon, exactly as above
-//	-role coordinator  also serve /fabric/v1/* (register, heartbeat,
-//	                   shared result store) and dispatch this node's
-//	                   sweep jobs across registered workers
-//	-role worker       register with -coordinator, serve /fabric/v1/exec,
-//	                   and read results through the coordinator's store
+//	-role coordinator  also serve /fabric/v1/* (heartbeat, shared result
+//	                   store) and dispatch this node's sweep jobs across
+//	                   live workers
+//	-role worker       join -coordinator by heartbeating, serve
+//	                   /fabric/v1/exec, and read results through the
+//	                   coordinator's store
 //
 // A coordinator plus N workers produce byte-identical experiment output
 // to a standalone daemon: job keys encode everything a result depends
@@ -83,7 +83,7 @@ func run() int {
 		coordURL  = flag.String("coordinator", "", "coordinator base URL (required with -role worker)")
 		advertise = flag.String("advertise", "", "base URL the coordinator dials back for exec (worker; default http://<listen-addr>)")
 		nodeID    = flag.String("node-id", "", "this worker's fabric identity (default: the advertise address)")
-		heartbeat = flag.Duration("heartbeat", 2*time.Second, "worker heartbeat interval")
+		heartbeat = flag.Duration("heartbeat", 2*time.Second, "heartbeat interval (worker role)")
 		hbTimeout = flag.Duration("heartbeat-timeout", 10*time.Second, "coordinator reaps workers silent this long")
 
 		traceSample = flag.Int("trace-sample", 0, "trace 1 in N API requests (0 disables tracing; errors are always sampled)")
@@ -168,7 +168,6 @@ func run() int {
 			HeartbeatTimeout: *hbTimeout,
 			Logf:             logger.Printf,
 			Tracer:           tracer,
-			ScrapeInterval:   *heartbeat,
 		})
 		cfg.CacheDir = ""
 		cfg.Backend = coord.Backend()
@@ -234,10 +233,9 @@ func run() int {
 	case "coordinator":
 		mux := http.NewServeMux()
 		mux.Handle("/fabric/v1/", coord.Handler())
-		mux.HandleFunc("GET /metrics/cluster", coord.HandleClusterMetrics)
 		mux.Handle("/", srv)
 		handler = mux
-		logger.Printf("fabric coordinator ready; workers register at http://%s/fabric/v1/register", ln.Addr())
+		logger.Printf("fabric coordinator ready; workers heartbeat to http://%s/fabric/v1/heartbeat", ln.Addr())
 	case "worker":
 		adv := *advertise
 		if adv == "" {

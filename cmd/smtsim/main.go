@@ -47,7 +47,7 @@ func main() {
 		tech       = flag.String("tech", "HILL-WIPC", "distribution technique")
 		epochs     = flag.Int("epochs", 50, "epochs to simulate")
 		epochSize  = flag.Int("epoch-size", core.DefaultEpochSize, "epoch length in cycles")
-		warmup     = flag.Int("warmup", 2, "warmup epochs before measurement")
+		warmup     = flag.Int("warmup", 2, "warmup epochs before measurement (at least 1)")
 		delta      = flag.Int("delta", core.DefaultDelta, "hill-climbing step in rename registers")
 		seed       = flag.Uint64("seed", 0, "stream-seed perturbation (0 = canonical seeds)")
 		cores      = flag.Int("cores", 0, "run a multi-core system of this many 2-context SMT cores behind a shared L3 (the workload must supply 2*cores applications; 0/1 = single core)")
@@ -72,6 +72,12 @@ func run(wlName, tech string, epochs, epochSize, warmup, delta int, seed uint64,
 	cores int, pairing string,
 	jsonOut bool, traceFile string, check bool,
 	pprofAddr, cpuprofile, memprofile string) int {
+	// A spec's warmup 0 selects the default of 2 epochs, so -warmup 0
+	// would silently run 2; refuse it instead.
+	if warmup < 1 {
+		fmt.Fprintf(os.Stderr, "smtsim: -warmup %d: need at least 1 warmup epoch (a spec's warmup 0 means the default of 2)\n", warmup)
+		return 2
+	}
 	// Ctrl-C / SIGTERM stops the run at the next epoch boundary.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -38,10 +38,6 @@ type CoordinatorConfig struct {
 	// in exec responses, so the coordinator's ring holds whole
 	// cross-node traces.
 	Tracer *obs.Tracer
-	// ScrapeInterval rate-limits federation: a worker's /metrics is
-	// scraped at most once per interval, triggered by its heartbeats
-	// (default 2s, the default worker heartbeat cadence).
-	ScrapeInterval time.Duration
 }
 
 func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
@@ -59,9 +55,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
-	}
-	if c.ScrapeInterval <= 0 {
-		c.ScrapeInterval = 2 * time.Second
 	}
 	return c
 }
@@ -90,7 +83,6 @@ type Coordinator struct {
 	store    *countingStore
 	storeSrv *StoreServer
 	handler  http.Handler
-	fed      *obs.Federator
 
 	mu      sync.Mutex
 	members map[string]*member // guarded by mu
@@ -117,7 +109,6 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 		cfg:     cfg,
 		now:     time.Now,
 		store:   &countingStore{Backend: cfg.Store},
-		fed:     obs.NewFederator(cfg.Client),
 		members: map[string]*member{},
 		reg:     reg,
 		peersGauge: reg.GaugeVec("smtserved_fabric_peers",
@@ -144,14 +135,16 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 	c.storeSrv.SetTracer(cfg.Tracer)
 	reg.Attach(c.storeSrv.Registry())
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /fabric/v1/register", c.handleRegister)
+	// A worker joins by heartbeating. The register route is the same
+	// message under the name protocol-1 workers send first.
 	mux.HandleFunc("POST /fabric/v1/heartbeat", c.handleHeartbeat)
+	mux.HandleFunc("POST /fabric/v1/register", c.handleHeartbeat)
 	mux.Handle("/fabric/v1/store", c.storeSrv)
 	c.handler = mux
 	return c
 }
 
-// Handler returns the coordinator's HTTP surface (register, heartbeat,
+// Handler returns the coordinator's HTTP surface (heartbeat and
 // store).
 func (c *Coordinator) Handler() http.Handler { return c.handler }
 
@@ -165,34 +158,12 @@ func (c *Coordinator) Backend() sweep.Backend { return c.store }
 // registry.
 func (c *Coordinator) Registry() *obs.Registry { return c.reg }
 
-func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
-	_, span := c.cfg.Tracer.StartFrom(r.Context(), obs.Extract(r.Header), "fabric.register", obs.KindServer)
-	var req RegisterRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		http.Error(w, fmt.Sprintf("bad register request: %v", err), http.StatusBadRequest)
-		span.End(err)
-		return
-	}
-	if err := checkProtoVersion(req.Version); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		span.End(err)
-		return
-	}
-	if req.ID == "" || req.Addr == "" {
-		http.Error(w, "register requires id and addr", http.StatusBadRequest)
-		span.End(fmt.Errorf("register missing id/addr"))
-		return
-	}
-	c.admit(req.ID, req.Addr)
-	span.SetAttr("worker", req.ID)
-	span.End(nil)
-	writeProtoJSON(w, RegisterResponse{Version: ProtocolVersion})
-}
-
+// handleHeartbeat admits or refreshes the beating worker, then reaps
+// the silent ones.
 func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	_, span := c.cfg.Tracer.StartFrom(r.Context(), obs.Extract(r.Header), "fabric.heartbeat", obs.KindServer)
 	var hb Heartbeat
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20)).Decode(&hb); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&hb); err != nil {
 		http.Error(w, fmt.Sprintf("bad heartbeat: %v", err), http.StatusBadRequest)
 		span.End(err)
 		return
@@ -209,41 +180,9 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	}
 	c.admit(hb.ID, hb.Addr)
 	c.reap()
-	// Federation rides the heartbeat cadence: each beat may trigger one
-	// asynchronous scrape of the worker's /metrics, rate-limited per
-	// node so heartbeat retry bursts don't multiply scrapes.
-	now := c.now()
-	if c.fed.Due(hb.ID, now, c.cfg.ScrapeInterval) {
-		metricsURL := hb.Addr + "/metrics"
-		go func() {
-			if err := c.fed.Scrape(hb.ID, metricsURL, now); err != nil {
-				c.cfg.Logf("fabric: federation scrape of %s failed: %v", hb.ID, err)
-			}
-		}()
-	}
 	span.SetAttr("worker", hb.ID)
 	span.End(nil)
 	writeProtoJSON(w, HeartbeatResponse{Version: ProtocolVersion})
-}
-
-// peerLiveness returns id->alive for every registered member.
-func (c *Coordinator) peerLiveness() map[string]bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]bool, len(c.members))
-	for id, m := range c.members {
-		out[id] = m.alive
-	}
-	return out
-}
-
-// HandleClusterMetrics serves GET /metrics/cluster: every fresh node's
-// scraped series re-labeled with node="<id>", aggregates across fresh
-// nodes, and staleness markers for suspect or silent peers. Mount it
-// next to /metrics on a coordinator node.
-func (c *Coordinator) HandleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	c.fed.WriteCluster(w, c.peerLiveness(), c.now(), c.cfg.HeartbeatTimeout)
 }
 
 func writeProtoJSON(w http.ResponseWriter, v any) {
@@ -252,10 +191,10 @@ func writeProtoJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// admit registers or refreshes a member: a register, a heartbeat, and a
-// re-appearing reaped worker all land here, so a worker that restarts
-// (or outlives a coordinator restart) rejoins on its next beat with no
-// special handshake.
+// admit adds or refreshes a member: a worker's first heartbeat, every
+// later one, and the beat of a reaped worker coming back all land
+// here, so a worker that restarts (or outlives a coordinator restart)
+// rejoins on its next beat with no special handshake.
 func (c *Coordinator) admit(id, addr string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -274,7 +213,7 @@ func (c *Coordinator) admit(id, addr string) {
 	case back && ok:
 		c.cfg.Logf("fabric: worker %s back (%d live)", id, live)
 	case back:
-		c.cfg.Logf("fabric: worker %s registered at %s (%d live)", id, addr, live)
+		c.cfg.Logf("fabric: worker %s joined from %s (%d live)", id, addr, live)
 	}
 }
 
@@ -486,8 +425,7 @@ func (c *Coordinator) Peers() []PeerStatus {
 	return out
 }
 
-// Health returns the coordinator's /healthz contribution, including the
-// federation roll-up (node freshness and scraped-series counts).
+// Health returns the coordinator's /healthz contribution.
 func (c *Coordinator) Health() map[string]any {
 	peers := c.Peers()
 	alive := 0
@@ -496,16 +434,12 @@ func (c *Coordinator) Health() map[string]any {
 			alive++
 		}
 	}
-	h := map[string]any{
+	return map[string]any{
 		"fabric_role":        "coordinator",
 		"fabric_peers":       peers,
 		"fabric_peers_alive": alive,
 		"fabric_store_keys":  c.store.puts.Load(),
 	}
-	for k, v := range c.fed.Summary(c.peerLiveness(), c.now(), c.cfg.HeartbeatTimeout) {
-		h[k] = v
-	}
-	return h
 }
 
 // WriteMetrics renders the coordinator's counters (dispatch outcomes,

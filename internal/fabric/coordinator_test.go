@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -334,71 +335,60 @@ func TestFabricPlacementLeastInFlight(t *testing.T) {
 	})
 }
 
-// TestFabricControlPlane drives the HTTP control plane end to end:
-// register, version skew, heartbeat liveness, the store-keys health
-// count, and heartbeats from nodes that still send the retired
-// queue-depth and gossip fields.
+// TestFabricControlPlane drives the HTTP control plane end to end: a
+// heartbeat alone admits a worker, a protocol-1 register body is
+// served as a heartbeat, version skew is refused on both routes, the
+// store-keys health count, and heartbeats from nodes that still send
+// the retired queue-depth and gossip fields. Bodies are raw JSON, so
+// the test pins the wire format rather than the Go types.
 func TestFabricControlPlane(t *testing.T) {
 	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
 
-	postRaw := func(path string, raw []byte, out any) int {
+	post := func(path, body string) (int, HeartbeatResponse) {
 		t.Helper()
-		resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(raw))
+		resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusOK && out != nil {
-			if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		var out HeartbeatResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return resp.StatusCode
+		return resp.StatusCode, out
 	}
-	post := func(path string, body, out any) int {
+	join := func(path, body, id string) {
 		t.Helper()
-		raw, _ := json.Marshal(body)
-		return postRaw(path, raw, out)
-	}
-	peer := func(id string) PeerStatus {
-		t.Helper()
-		for _, p := range c.Peers() {
-			if p.ID == id {
-				return p
-			}
+		code, resp := post(path, body)
+		if code != http.StatusOK || resp.Version != ProtocolVersion {
+			t.Fatalf("%s %s: HTTP %d, version %d; want 200 and version %d",
+				path, body, code, resp.Version, ProtocolVersion)
 		}
-		t.Fatalf("no peer %s in %+v", id, c.Peers())
-		return PeerStatus{}
+		p, ok := peer(c, id)
+		if !ok || !p.Alive || p.Inflight != 0 {
+			t.Fatalf("after %s %s: %s = %+v (listed %v), want alive with nothing in flight",
+				path, body, id, p, ok)
+		}
 	}
 
-	var reg RegisterResponse
-	if code := post("/fabric/v1/register",
-		RegisterRequest{Version: ProtocolVersion, ID: "w1", Addr: "http://w1"}, &reg); code != http.StatusOK {
-		t.Fatalf("register: HTTP %d", code)
-	}
-	if reg.Version != ProtocolVersion {
-		t.Fatalf("register response version = %d", reg.Version)
-	}
+	// A heartbeat alone admits a worker the coordinator has never seen.
+	join("/fabric/v1/heartbeat", `{"version":1,"id":"w1","addr":"http://w1"}`, "w1")
 
-	// Version skew is refused at the door.
-	if code := post("/fabric/v1/register",
-		RegisterRequest{Version: ProtocolVersion + 1, ID: "w2", Addr: "http://w2"}, nil); code != http.StatusBadRequest {
-		t.Fatalf("future-version register: HTTP %d, want 400", code)
-	}
+	// A protocol-1 worker that still registers first is admitted too.
+	join("/fabric/v1/register", `{"version":1,"id":"w2","addr":"http://w2"}`, "w2")
 
-	// A heartbeat refreshes liveness.
-	var hb HeartbeatResponse
-	if code := post("/fabric/v1/heartbeat",
-		Heartbeat{Version: ProtocolVersion, ID: "w1", Addr: "http://w1"}, &hb); code != http.StatusOK {
-		t.Fatalf("heartbeat: HTTP %d", code)
+	// Version skew is refused at the door on both routes.
+	for _, path := range []string{"/fabric/v1/heartbeat", "/fabric/v1/register"} {
+		if code, _ := post(path, `{"version":2,"id":"w3","addr":"http://w3"}`); code != http.StatusBadRequest {
+			t.Fatalf("future-version %s: HTTP %d, want 400", path, code)
+		}
 	}
-	if hb.Version != ProtocolVersion {
-		t.Fatalf("heartbeat response version = %d", hb.Version)
-	}
-	if p := peer("w1"); !p.Alive || p.Inflight != 0 {
-		t.Fatalf("after heartbeat w1 = %+v, want alive with nothing in flight", p)
+	if p, ok := peer(c, "w3"); ok {
+		t.Fatalf("future-version worker was admitted: %+v", p)
 	}
 
 	// Results stored through the coordinator's backend are counted.
@@ -412,13 +402,40 @@ func TestFabricControlPlane(t *testing.T) {
 	// A heartbeat in the older wire format, queue depth and gossip fields
 	// included, is still admitted: decoders ignore the fields they no
 	// longer know.
-	old := `{"version":1,"id":"w9","addr":"http://w9","queue_depth":5,"seq":7,"recent_keys":["k"]}`
-	if code := postRaw("/fabric/v1/heartbeat", []byte(old), nil); code != http.StatusOK {
-		t.Fatalf("older-format heartbeat: HTTP %d, want 200", code)
+	join("/fabric/v1/heartbeat",
+		`{"version":1,"id":"w9","addr":"http://w9","queue_depth":5,"seq":7,"recent_keys":["k"]}`, "w9")
+}
+
+// peer returns the coordinator's view of worker id.
+func peer(c *Coordinator, id string) (PeerStatus, bool) {
+	for _, p := range c.Peers() {
+		if p.ID == id {
+			return p, true
+		}
 	}
-	if p := peer("w9"); !p.Alive || p.Inflight != 0 {
-		t.Fatalf("older-format heartbeat left w9 = %+v, want alive with nothing in flight", p)
+	return PeerStatus{}, false
+}
+
+// TestFabricWorkerFirstBeatIsImmediate: Start sends the first heartbeat
+// at once rather than after one HeartbeatEvery, so a worker is live
+// as soon as it starts, however long its beat interval.
+func TestFabricWorkerFirstBeatIsImmediate(t *testing.T) {
+	c := NewCoordinator(CoordinatorConfig{Logf: t.Logf})
+	srv := httptest.NewServer(c.Handler())
+	defer srv.Close()
+	w := NewWorker(WorkerConfig{
+		ID: "w1", CoordinatorURL: srv.URL, AdvertiseURL: "http://w1",
+		HeartbeatEvery: time.Hour, Logf: t.Logf,
+	}, sweep.NewEngine(1), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w.Start(ctx)
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if p, ok := peer(c, "w1"); ok && p.Alive {
+			return
+		}
 	}
+	t.Fatalf("worker not alive 2s after Start (peers: %+v)", c.Peers())
 }
 
 // TestFabricStoredKeyNeverDispatched pins the engine ordering the

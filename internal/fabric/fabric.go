@@ -1,5 +1,5 @@
 // Package fabric distributes the sweep engine across processes: a
-// coordinator places each job key on the registered worker with the
+// coordinator places each job key on the live worker with the
 // fewest of its dispatches outstanding, workers execute keys on their
 // local engines, and a shared content-addressed result store lets every
 // node serve what any node computed.
@@ -17,8 +17,9 @@
 // local computation and produces the same bytes.
 //
 // Topology: the coordinator owns the result store and the membership.
-// Workers register over HTTP, then heartbeat periodically; a heartbeat
-// carries only liveness. Placement needs no report from the worker: the
+// A worker joins by heartbeating over HTTP: its first beat admits it,
+// and later beats keep it live. A heartbeat carries only the worker's
+// id and address. Placement needs no report from the worker: the
 // coordinator counts the dispatches it has outstanding on each one, and
 // any worker computes any key to the same bytes. No memo state travels
 // either: the engine consults its memo and the shared store before it
@@ -57,21 +58,11 @@ func checkProtoVersion(v int) error {
 	return nil
 }
 
-// RegisterRequest announces a worker to the coordinator.
-type RegisterRequest struct {
-	Version int    `json:"version"`
-	ID      string `json:"id"`
-	Addr    string `json:"addr"` // base URL the coordinator dials back
-}
-
-// RegisterResponse acknowledges registration.
-type RegisterResponse struct {
-	Version int `json:"version"`
-}
-
-// Heartbeat is a worker's periodic liveness report. Decoders ignore
-// unknown fields, so beats from nodes that still send retired fields
-// (queue_depth, seq, recent_keys) are accepted.
+// Heartbeat is a worker's periodic liveness report, and its first beat
+// is how it joins. Decoders ignore unknown fields, so beats from nodes
+// that still send retired fields (queue_depth, seq, recent_keys) are
+// accepted. A protocol-1 worker's register message has the same body
+// and is served as a heartbeat.
 type Heartbeat struct {
 	Version int    `json:"version"`
 	ID      string `json:"id"`

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"smthill/internal/experiment"
+	"smthill/internal/obs"
 	"smthill/internal/sweep"
 )
 
@@ -53,6 +54,12 @@ type testNode struct {
 // cmd/smtserved uses when the listener comes up before the worker.
 func startTestWorker(t *testing.T, id, coordURL string) *testNode {
 	t.Helper()
+	return startTracedWorker(t, id, coordURL, nil)
+}
+
+// startTracedWorker is startTestWorker with a per-node tracer.
+func startTracedWorker(t *testing.T, id, coordURL string, tracer *obs.Tracer) *testNode {
+	t.Helper()
 	wp := new(atomic.Pointer[Worker])
 	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		if w := wp.Load(); w != nil {
@@ -66,7 +73,7 @@ func startTestWorker(t *testing.T, id, coordURL string) *testNode {
 	eng.SetBackend(store)
 	w := NewWorker(WorkerConfig{
 		ID: id, CoordinatorURL: coordURL, AdvertiseURL: srv.URL,
-		HeartbeatEvery: 25 * time.Millisecond, Logf: t.Logf,
+		HeartbeatEvery: 25 * time.Millisecond, Logf: t.Logf, Tracer: tracer,
 	}, eng, store)
 	wp.Store(w)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -52,8 +52,8 @@ func (c WorkerConfig) withDefaults() WorkerConfig {
 	return c
 }
 
-// Worker is a fabric execution node: it registers with the coordinator,
-// heartbeats liveness, and serves /fabric/v1/exec by
+// Worker is a fabric execution node: it joins the coordinator by
+// heartbeating, and serves /fabric/v1/exec by
 // rebuilding jobs from their keys on its local engine through
 // experiment.ExecKeyOn, which runs simulation specs and experiment
 // families alike; a key it does not recognise is refused (the
@@ -96,19 +96,13 @@ func NewWorker(cfg WorkerConfig, eng *sweep.Engine, store *StoreClient) *Worker 
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /fabric/v1/exec", w.handleExec)
-	// A worker's own exposition endpoint: this is what the coordinator's
-	// federation scrapes (AdvertiseURL + /metrics). On a full smtserved
-	// node the serve mux fronts this handler; standalone harnesses mount
-	// Handler() directly and still federate.
-	mux.HandleFunc("GET /metrics", func(rw http.ResponseWriter, _ *http.Request) {
-		rw.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.reg.Write(rw)
-	})
 	w.handler = mux
 	return w
 }
 
-// Handler returns the worker's HTTP surface (exec, metrics).
+// Handler returns the worker's HTTP surface, POST /fabric/v1/exec. Its
+// series render through Registry or WriteMetrics; on an smtserved node
+// they join the node's own /metrics.
 func (w *Worker) Handler() http.Handler { return w.handler }
 
 // Registry returns the worker's metric registry (exec and heartbeat
@@ -178,19 +172,21 @@ func (w *Worker) execKey(ctx context.Context, key string) (json.RawMessage, bool
 	return experiment.ExecKeyOn(ctx, w.eng, key)
 }
 
-// Start registers with the coordinator (retrying until ctx ends) and
-// then heartbeats until ctx ends. It returns immediately; the control
-// loop runs in a goroutine. Exec requests are served regardless of
-// registration state — the handler is mounted by the caller.
+// Start joins the coordinator and then keeps beating until ctx ends.
+// The first heartbeat goes out at once and is retried with backoff
+// until the coordinator accepts it; later beats follow every
+// HeartbeatEvery. Start returns immediately; the control loop runs in a
+// goroutine. Exec requests are served whether or not the worker has
+// joined — the handler is mounted by the caller.
 func (w *Worker) Start(ctx context.Context) {
 	go func() {
 		backoff := 100 * time.Millisecond
 		for {
-			err := w.Register(ctx)
+			err := w.Heartbeat(ctx)
 			if err == nil {
 				break
 			}
-			w.cfg.Logf("fabric: register with %s: %v (retrying in %s)", w.cfg.CoordinatorURL, err, backoff)
+			w.cfg.Logf("fabric: join %s: %v (retrying in %s)", w.cfg.CoordinatorURL, err, backoff)
 			select {
 			case <-ctx.Done():
 				return
@@ -200,7 +196,7 @@ func (w *Worker) Start(ctx context.Context) {
 				backoff = 2 * time.Second
 			}
 		}
-		w.cfg.Logf("fabric: registered with %s as %s", w.cfg.CoordinatorURL, w.cfg.ID)
+		w.cfg.Logf("fabric: joined %s as %s", w.cfg.CoordinatorURL, w.cfg.ID)
 		t := time.NewTicker(w.cfg.HeartbeatEvery)
 		defer t.Stop()
 		for {
@@ -214,17 +210,6 @@ func (w *Worker) Start(ctx context.Context) {
 			}
 		}
 	}()
-}
-
-// Register performs one registration round-trip.
-func (w *Worker) Register(ctx context.Context) error {
-	var resp RegisterResponse
-	err := w.post(ctx, "/fabric/v1/register",
-		RegisterRequest{Version: ProtocolVersion, ID: w.cfg.ID, Addr: w.cfg.AdvertiseURL}, &resp)
-	if err != nil {
-		return err
-	}
-	return checkProtoVersion(resp.Version)
 }
 
 // Heartbeat performs one liveness beat.

@@ -31,8 +31,9 @@
 //     regression test.
 //
 // The concurrency-correctness suite extends the determinism rules to the
-// service layers (serve worker pools, fabric heartbeats, obs federation),
-// whose bugs corrupt figures through races rather than through clocks:
+// service layers (serve worker pools, fabric heartbeats, the obs
+// registry and tracer), whose bugs corrupt figures through races rather
+// than through clocks:
 //
 //   - lockguard (lockguard.go): struct fields annotated "guarded by <mu>"
 //     may only be touched while that mutex is held on the same receiver

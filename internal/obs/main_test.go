@@ -7,8 +7,9 @@ import (
 	"smthill/internal/lint/leakcheck"
 )
 
-// TestMain gates the suite on goroutine leaks: federation scrapers and
-// registry subscription fan-out must terminate with their owners.
+// TestMain gates the suite on goroutine leaks. obs starts no goroutine
+// of its own; the gate keeps it that way, so any tracer or registry
+// code that starts one must stop it with its owner.
 func TestMain(m *testing.M) {
 	os.Exit(leakcheck.Main(m))
 }

@@ -1,7 +1,6 @@
 // Package obs is the cluster-level observability layer: distributed
-// tracing with W3C traceparent propagation, a unified metrics registry
-// with Prometheus-text encoding, and cross-node metrics federation for
-// the sweep fabric.
+// tracing with W3C traceparent propagation across the sweep fabric, and
+// a unified metrics registry with Prometheus-text encoding.
 //
 // The paper's technique is a closed feedback loop — per-epoch IPC
 // samples drive the climber's next move — and once PR 6 spread that
@@ -19,10 +18,6 @@
 //     power-of-two histograms (reusing telemetry.Hist) with label
 //     support, name/label validation, and deterministic sorted
 //     Prometheus-text rendering.
-//   - federation.go: Federator, the coordinator-side scraper that polls
-//     worker /metrics on the heartbeat cadence and renders
-//     /metrics/cluster (per-node series plus aggregates, with suspect
-//     peers marked stale).
 //   - debug.go: the /debug/traces handler (JSON trace list + one-trace
 //     timeline).
 //   - exporter.go: the bridge back into internal/telemetry — spans as

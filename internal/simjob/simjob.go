@@ -96,8 +96,8 @@ type Spec struct {
 	Epochs int `json:"epochs,omitempty"`
 	// EpochSize is the epoch length in cycles (default 64K).
 	EpochSize int `json:"epoch_size,omitempty"`
-	// Warmup is the number of warmup epochs before measurement
-	// (default 2).
+	// Warmup is the number of warmup epochs before measurement. 0
+	// selects the default of 2, so a spec cannot ask for no warmup.
 	Warmup int `json:"warmup,omitempty"`
 	// Delta is the hill-climbing step in rename registers (default 4;
 	// ignored by non-hill techniques).
@@ -178,7 +178,7 @@ func (s Spec) validateShape() error {
 	case s.EpochSize < 1 || s.EpochSize > MaxEpochSize:
 		return fmt.Errorf("simjob: epoch_size %d outside [1, %d]", s.EpochSize, MaxEpochSize)
 	case s.Warmup < 0 || s.Warmup > MaxWarmup:
-		return fmt.Errorf("simjob: warmup %d outside [0, %d]", s.Warmup, MaxWarmup)
+		return fmt.Errorf("simjob: warmup %d outside [0, %d] (0 selects the default of 2)", s.Warmup, MaxWarmup)
 	case s.Delta < 1:
 		return fmt.Errorf("simjob: delta %d must be positive", s.Delta)
 	case s.Cores < 0 || s.Cores > MaxCores:
