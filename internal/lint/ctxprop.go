@@ -98,21 +98,11 @@ func hasCtxParam(fn *types.Func) bool {
 	sig := fn.Type().(*types.Signature)
 	for i := 0; i < sig.Params().Len(); i++ {
 		t := sig.Params().At(i).Type()
-		if isNamedType(t, "context", "Context") || isNamedType(derefType(t), "net/http", "Request") {
+		if isNamedType(t, "context", "Context") || isNamedType(t, "net/http", "Request") {
 			return true
 		}
 	}
 	return false
-}
-
-// isNamedType reports whether t is the named type pkgPath.name.
-func isNamedType(t types.Type, pkgPath, name string) bool {
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
 // ctxDropCall classifies a call that drops the context, returning a
@@ -145,7 +135,7 @@ func ctxDropCall(p *Package, call *ast.CallExpr) (string, string) {
 				return "", ""
 			}
 			if recv := sig.Recv(); recv != nil {
-				if !isNamedType(derefType(recv.Type()), "net/http", "Client") {
+				if !isNamedType(recv.Type(), "net/http", "Client") {
 					return "", ""
 				}
 				return "(*http.Client)." + name, "build the request with http.NewRequestWithContext and Do it"

@@ -71,10 +71,10 @@ func checkFindings(t *testing.T, got []Finding, want []wantFinding) {
 	}
 }
 
-// TestDriverNoCacheDir checks that one uncached Drive pass over a
-// module without stale directives reports only a's float-compare, with
-// a root-relative filename.
-func TestDriverNoCacheDir(t *testing.T) {
+// TestDriverRootRelativeFindings checks that a Drive pass over a module
+// without stale directives reports only a's float-compare, with a
+// root-relative filename.
+func TestDriverRootRelativeFindings(t *testing.T) {
 	root := writeTempModule(t)
 	if err := os.RemoveAll(filepath.Join(root, "d")); err != nil {
 		t.Fatal(err)
@@ -88,11 +88,10 @@ func TestDriverNoCacheDir(t *testing.T) {
 	})
 }
 
-// TestDriverAuditsStaleIgnoresFromCache checks that Drive audits ignore
+// TestDriverAuditsStaleIgnores checks that Drive audits ignore
 // directives: d's directive names the wrong rule, so d's float-compare
 // still fires and the directive itself is reported as unusedignore.
-// Drive keeps no cache, so every run is the cold path.
-func TestDriverAuditsStaleIgnoresFromCache(t *testing.T) {
+func TestDriverAuditsStaleIgnores(t *testing.T) {
 	got, err := Drive(writeTempModule(t))
 	if err != nil {
 		t.Fatalf("Drive: %v", err)

@@ -104,8 +104,8 @@ type Rule interface {
 
 // ModuleRule is a rule whose analysis spans package boundaries (the lock
 // acquisition graph crosses serve -> obs, for example). A ModuleRule's
-// per-package Check returns nil; Run and RunAudit call CheckModule once
-// with every loaded package.
+// per-package Check returns nil; RunAudit calls CheckModule once with
+// every loaded package.
 type ModuleRule interface {
 	Rule
 	// CheckModule analyzes the whole module at once.
@@ -145,26 +145,13 @@ func (d directive) Key() string {
 	return fmt.Sprintf("%s:%d:%s", d.File, d.Line, d.Rule)
 }
 
-// Run applies every rule (per-package and module-wide) to the packages
-// and returns the surviving findings sorted by position. Findings on a
-// line carrying (or directly following a line carrying) an
-// "//smtlint:ignore <rule>" directive are dropped.
-func Run(rules []Rule, pkgs []*Package) []Finding {
-	used := map[string]bool{}
-	var out []Finding
-	for _, p := range pkgs {
-		fs, _ := checkPackage(rules, p, used)
-		out = append(out, fs...)
-	}
-	out = append(out, checkModuleRules(rules, pkgs, used)...)
-	sortFindings(out)
-	return out
-}
-
-// RunAudit is Run plus the unusedignore audit: directives that suppressed
-// no finding across the whole run come back as findings of rule
-// "unusedignore", so stale justifications fail the build like any other
-// violation.
+// RunAudit applies every rule (per-package and module-wide) to the
+// packages and returns the surviving findings sorted by position.
+// Findings on a line carrying (or directly following a line carrying) an
+// "//smtlint:ignore <rule>" directive are dropped, and directives that
+// suppressed no finding across the whole run come back as findings of
+// rule "unusedignore", so stale justifications fail the build like any
+// other violation.
 func RunAudit(rules []Rule, pkgs []*Package) []Finding {
 	used := map[string]bool{}
 	var out []Finding
@@ -174,7 +161,7 @@ func RunAudit(rules []Rule, pkgs []*Package) []Finding {
 		out = append(out, fs...)
 		all = append(all, dirs...)
 	}
-	out = append(out, checkModuleRules(rules, pkgs, used)...)
+	out = append(out, checkModuleRules(rules, pkgs, all, used)...)
 	out = append(out, staleDirectives(all, used)...)
 	sortFindings(out)
 	return out
@@ -183,8 +170,7 @@ func RunAudit(rules []Rule, pkgs []*Package) []Finding {
 // checkPackage applies the per-package rules to p, filters the findings
 // through p's ignore directives, and returns the survivors along with
 // every directive in the package. Directives that suppressed at least
-// one finding are recorded in used (keyed by directive.Key); pass nil to
-// skip the bookkeeping.
+// one finding are recorded in used (keyed by directive.Key).
 func checkPackage(rules []Rule, p *Package, used map[string]bool) ([]Finding, []directive) {
 	dirs := directives(p)
 	idx := buildIgnoreIndex(dirs)
@@ -199,25 +185,14 @@ func checkPackage(rules []Rule, p *Package, used map[string]bool) ([]Finding, []
 }
 
 // checkModuleRules applies the module-wide rules once over all packages,
-// filtering findings through the directives of every package.
-func checkModuleRules(rules []Rule, pkgs []*Package, used map[string]bool) []Finding {
-	var mods []ModuleRule
-	for _, r := range rules {
-		if mr, ok := r.(ModuleRule); ok {
-			mods = append(mods, mr)
-		}
-	}
-	if len(mods) == 0 {
-		return nil
-	}
-	var dirs []directive
-	for _, p := range pkgs {
-		dirs = append(dirs, directives(p)...)
-	}
+// filtering findings through dirs, the directives of every package.
+func checkModuleRules(rules []Rule, pkgs []*Package, dirs []directive, used map[string]bool) []Finding {
 	idx := buildIgnoreIndex(dirs)
 	var out []Finding
-	for _, mr := range mods {
-		out = append(out, filterFindings(mr.CheckModule(pkgs), dirs, idx, used)...)
+	for _, r := range rules {
+		if mr, ok := r.(ModuleRule); ok {
+			out = append(out, filterFindings(mr.CheckModule(pkgs), dirs, idx, used)...)
+		}
 	}
 	return out
 }
@@ -287,9 +262,7 @@ func filterFindings(fs []Finding, dirs []directive, idx map[ignoreKey]int, used 
 			i, ok = idx[ignoreKey{f.Pos.Filename, f.Pos.Line, "*"}]
 		}
 		if ok {
-			if used != nil {
-				used[dirs[i].Key()] = true
-			}
+			used[dirs[i].Key()] = true
 			continue
 		}
 		out = append(out, f)
@@ -415,4 +388,23 @@ func reachable(p *Package, decls map[*types.Func]*ast.FuncDecl, roots []*types.F
 		return strings.Join(parts, " -> ")
 	}
 	return reached, chain
+}
+
+// derefType strips one level of pointer.
+func derefType(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// isNamedType reports whether t, behind at most one pointer, is the
+// named type pkgPath.name.
+func isNamedType(t types.Type, pkgPath, name string) bool {
+	n, ok := derefType(t).(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := n.Obj()
+	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }

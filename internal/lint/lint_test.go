@@ -201,9 +201,10 @@ func TestHotAllocRuleFires(t *testing.T) {
 
 func TestHotAllocRuleSilentOnFixedForm(t *testing.T) {
 	p := fixture(t, "hotallocok")
-	// Run (not Check) so the ignore directive in the fixture applies; the
-	// cold telemetry path and the unreachable reset are exempt by design.
-	if got := Run([]Rule{hotAllocRule("hotallocok")}, []*Package{p}); len(got) != 0 {
+	// RunAudit (not Check) so the ignore directive in the fixture applies;
+	// the cold telemetry path and the unreachable reset are exempt by
+	// design.
+	if got := RunAudit([]Rule{hotAllocRule("hotallocok")}, []*Package{p}); len(got) != 0 {
 		t.Fatalf("unexpected findings on fixed form: %v", got)
 	}
 }
@@ -219,19 +220,20 @@ func TestHotAllocRuleRespectsPackageSelection(t *testing.T) {
 
 func TestIgnoreDirectives(t *testing.T) {
 	p := fixture(t, "ignored")
-	got := Run([]Rule{&NondetRule{}}, []*Package{p})
+	got := RunAudit([]Rule{&NondetRule{}}, []*Package{p})
 	wantFindings(t, got, []struct {
 		line int
 		sub  string
 	}{
-		{21, "time.Now"}, // Stamp3: directive names the wrong rule
+		{20, "suppresses no finding"}, // Stamp3's directive names the wrong rule,
+		{21, "time.Now"},              // so it suppresses nothing
 	})
 }
 
 func TestRunSortsFindings(t *testing.T) {
 	pa := fixture(t, "floatbad")
 	pb := fixture(t, "nondetbad")
-	got := Run([]Rule{&NondetRule{}, NewFloatCompareRule()}, []*Package{pb, pa})
+	got := RunAudit([]Rule{&NondetRule{}, NewFloatCompareRule()}, []*Package{pb, pa})
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
 		if a.Pos.Filename > b.Pos.Filename ||

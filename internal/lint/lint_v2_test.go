@@ -38,7 +38,7 @@ func TestLockGuardRuleRespectsPackageSelection(t *testing.T) {
 
 func TestLockOrderRuleFires(t *testing.T) {
 	p := fixture(t, "lockorderbad")
-	got := Run([]Rule{NewLockOrderRule()}, []*Package{p})
+	got := RunAudit([]Rule{NewLockOrderRule()}, []*Package{p})
 	wantFindings(t, got, []struct {
 		line int
 		sub  string
@@ -76,7 +76,7 @@ func ctxPropRule(path string) *CtxPropRule {
 
 func TestCtxPropRuleFires(t *testing.T) {
 	p := fixture(t, "ctxpropbad")
-	got := Run([]Rule{ctxPropRule("ctxpropbad")}, []*Package{p})
+	got := RunAudit([]Rule{ctxPropRule("ctxpropbad")}, []*Package{p})
 	wantFindings(t, got, []struct {
 		line int
 		sub  string

@@ -22,10 +22,11 @@ import (
 //	    jobs map[string]*job // guarded by mu
 //	}
 //
-// Dominance is lexical (see locks.go): Lock/RLock establish the guard,
-// Unlock drops it, deferred Unlock holds it to function end, and
-// conditional branches do not leak acquisitions. Reads require at least
-// RLock when the guard is a sync.RWMutex; writes always require Lock.
+// Dominance is lexical (see walk.go and locks.go): Lock/RLock establish
+// the guard, Unlock drops it, deferred Unlock holds it to function end,
+// and conditional branches do not leak acquisitions. Reads require at
+// least RLock when the guard is a sync.RWMutex; writes always require
+// Lock.
 //
 // Three conventions mark a function as entered with the lock held:
 // a "Callers hold <mu>" doc sentence, a method name ending in "Locked",
@@ -70,25 +71,26 @@ func (r *LockGuardRule) Check(p *Package) []Finding {
 		return out
 	}
 	for _, fd := range funcDecls(p) {
-		w := newLockTracker(p)
-		w.onAccess = func(w *lockTracker, sel *ast.SelectorExpr, write bool) {
+		f := newLockFacts(p, entryHeldLocks(p, fd))
+		w := &scopeWalker{p: p, facts: f}
+		w.onAccess = func(sel *ast.SelectorExpr, write bool) {
 			selInfo, ok := p.Info.Selections[sel]
 			if !ok || selInfo.Kind() != types.FieldVal {
 				return
 			}
-			f, ok := selInfo.Obj().(*types.Var)
+			fv, ok := selInfo.Obj().(*types.Var)
 			if !ok {
 				return
 			}
-			g, ok := guards[f]
+			g, ok := guards[fv]
 			if !ok {
 				return
 			}
-			if id, isIdent := sel.X.(*ast.Ident); isIdent && w.fresh[id.Name] {
+			if id, isIdent := sel.X.(*ast.Ident); isIdent && f.fresh[id.Name] {
 				return
 			}
 			need := exprString(sel.X) + "." + g.mu
-			l, held := w.held[need]
+			l, held := f.held[need]
 			if held && (l.mode == 'w' || !write) {
 				return
 			}
@@ -109,7 +111,7 @@ func (r *LockGuardRule) Check(p *Package) []Finding {
 					verb, exprString(sel), want, g.mu),
 			})
 		}
-		w.walkFunc(fd.Body, entryHeldLocks(p, fd))
+		w.stmts(fd.Body.List)
 	}
 	return out
 }
@@ -132,16 +134,10 @@ func collectGuards(p *Package) (map[*types.Var]guardInfo, []Finding) {
 				return true
 			}
 			// Index the struct's mutex fields by name first.
-			mutexes := map[string]bool{} // name -> is RWMutex
-			rwMutexes := map[string]bool{}
-			for _, fl := range st.Fields.List {
-				for _, name := range fl.Names {
-					if v, ok := p.Info.Defs[name].(*types.Var); ok {
-						if isMutexType(v.Type()) {
-							mutexes[name.Name] = true
-							rwMutexes[name.Name] = isRWMutexType(v.Type())
-						}
-					}
+			var mutexes map[string]bool // name -> is RWMutex
+			if tn, ok := p.Info.Defs[ts.Name].(*types.TypeName); ok {
+				if t, ok := tn.Type().Underlying().(*types.Struct); ok {
+					mutexes = mutexFields(t)
 				}
 			}
 			for _, fl := range st.Fields.List {
@@ -157,7 +153,8 @@ func collectGuards(p *Package) (map[*types.Var]guardInfo, []Finding) {
 					continue
 				}
 				mu := m[1]
-				if !mutexes[mu] {
+				rw, ok := mutexes[mu]
+				if !ok {
 					out = append(out, Finding{
 						Pos:  p.Fset.Position(fl.Pos()),
 						Rule: "lockguard",
@@ -167,7 +164,7 @@ func collectGuards(p *Package) (map[*types.Var]guardInfo, []Finding) {
 				}
 				for _, name := range fl.Names {
 					if v, ok := p.Info.Defs[name].(*types.Var); ok {
-						guards[v] = guardInfo{mu: mu, rw: rwMutexes[mu]}
+						guards[v] = guardInfo{mu: mu, rw: rw}
 					}
 				}
 			}

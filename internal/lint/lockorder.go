@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"sort"
 	"strings"
 )
@@ -100,25 +101,26 @@ func (r *LockOrderRule) CheckModule(pkgs []*Package) []Finding {
 			rec := &loFunc{fn: fn}
 			label := funcLabel(fn)
 			p := p
-			w := newLockTracker(p)
-			w.onAcquire = func(w *lockTracker, expr string, l heldLock, pos token.Pos) {
+			f := newLockFacts(p, entryHeldLocks(p, fd))
+			w := &scopeWalker{p: p, facts: f}
+			f.onAcquire = func(expr string, l heldLock, pos token.Pos) {
 				rec.acqs = append(rec.acqs, loAcq{
 					class: l.class, expr: expr, mode: l.mode,
-					held: copyHeld(w.held), pos: pos, fn: label, pkg: p,
+					held: maps.Clone(f.held), pos: pos, fn: label, pkg: p,
 					spawned: w.inGo > 0,
 				})
 			}
-			w.onCall = func(w *lockTracker, call *ast.CallExpr) {
+			w.onCall = func(call *ast.CallExpr) {
 				callee := staticCallee(p, call)
 				if callee == nil {
 					return
 				}
 				rec.calls = append(rec.calls, loCall{
-					callee: callee, held: copyHeld(w.held), pos: call.Pos(),
+					callee: callee, held: maps.Clone(f.held), pos: call.Pos(),
 					fn: label, pkg: p, spawned: w.inGo > 0,
 				})
 			}
-			w.walkFunc(fd.Body, entryHeldLocks(p, fd))
+			w.stmts(fd.Body.List)
 			recs[fn] = rec
 			order = append(order, rec)
 		}
@@ -293,18 +295,6 @@ func selfDeadlock(a loAcq, held heldLock) Finding {
 		msg = fmt.Sprintf("Lock of %s while holding its RLock in %s: RLock->Lock upgrades deadlock sync.RWMutex", a.expr, a.fn)
 	}
 	return Finding{Pos: a.pkg.Fset.Position(a.pos), Rule: "lockorder", Msg: msg}
-}
-
-// copyHeld snapshots a held map (the tracker mutates it in place).
-func copyHeld(held map[string]heldLock) map[string]heldLock {
-	if len(held) == 0 {
-		return nil
-	}
-	out := make(map[string]heldLock, len(held))
-	for k, v := range held {
-		out[k] = v
-	}
-	return out
 }
 
 // posLess orders positions by file, line, column.

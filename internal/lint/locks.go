@@ -4,24 +4,23 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
 	"regexp"
 	"strings"
 )
 
-// This file is the shared substrate of the lock rules: a lexical tracker
-// that walks a function body statement by statement maintaining the set
-// of mutexes held at each point, in the style of recorder.go's
-// nil-guard dominance walker. Both lockguard (field accesses must be
-// dominated by the right Lock) and lockorder (the cross-function
-// acquisition graph must be acyclic) drive it through callbacks.
+// This file holds the lock rules' fact set for the scopeWalker
+// (walk.go): the mutexes held at each point of a function body and the
+// locals freshly built from composite literals that have not escaped.
+// Both lockguard (field accesses must be dominated by the right Lock) and
+// lockorder (the cross-function acquisition graph must be acyclic) walk
+// with it.
 //
-// The tracker is lexical, not path-sensitive: a lock acquired inside a
-// conditional branch is forgotten when the branch ends, and a deferred
-// Unlock keeps the mutex held to the end of the function. Goroutine
-// bodies start with an empty lock set (the spawner's locks are not
-// ordered with respect to the goroutine), while function literals passed
-// as call arguments inherit the current set (the synchronous-callback
-// assumption: sort.Slice and friends run the closure before returning).
+// A deferred Unlock keeps the mutex held to the end of the function, and
+// a lock taken inside a plain {} block stays held after it. Goroutine
+// bodies and stored closures start with no locks (the spawner's locks
+// are not ordered with respect to them), while function literals passed
+// as call arguments inherit the current set.
 
 // heldLock describes one held mutex.
 type heldLock struct {
@@ -32,329 +31,66 @@ type heldLock struct {
 	class string
 }
 
-// lockTracker walks one function body tracking the held-lock set.
-type lockTracker struct {
+// lockFacts is the lock rules' factSet.
+type lockFacts struct {
 	p     *Package
 	held  map[string]heldLock // mutex exprString -> held state
 	fresh map[string]bool     // locals created from composite literals, not yet escaped
-	inGo  int                 // >0 while scanning a `go` statement's call (and body)
-
-	// onAccess fires for every selector expression (field reads and
-	// writes, including selector bases of deeper chains).
-	onAccess func(w *lockTracker, sel *ast.SelectorExpr, write bool)
 	// onAcquire fires on Lock/RLock, before held is updated, so the
 	// callback sees the locks held across the acquisition.
-	onAcquire func(w *lockTracker, expr string, l heldLock, pos token.Pos)
-	// onCall fires for every non-lock call expression with the current
-	// held set live in w.held.
-	onCall func(w *lockTracker, call *ast.CallExpr)
+	onAcquire func(expr string, l heldLock, pos token.Pos)
 }
 
-func newLockTracker(p *Package) *lockTracker {
-	return &lockTracker{p: p, held: map[string]heldLock{}, fresh: map[string]bool{}}
+// newLockFacts returns the facts on entry to a function whose callers
+// hold entry.
+func newLockFacts(p *Package, entry map[string]heldLock) *lockFacts {
+	f := &lockFacts{p: p, held: map[string]heldLock{}, fresh: map[string]bool{}}
+	maps.Copy(f.held, entry)
+	return f
 }
 
-// walkFunc analyzes body with the given entry-held set (nil for none).
-func (w *lockTracker) walkFunc(body *ast.BlockStmt, entry map[string]heldLock) {
-	w.held = map[string]heldLock{}
-	for k, v := range entry {
-		w.held[k] = v
-	}
-	w.fresh = map[string]bool{}
-	w.stmts(body.List)
+func (f *lockFacts) clone() factSet {
+	c := *f
+	c.held, c.fresh = maps.Clone(f.held), maps.Clone(f.fresh)
+	return &c
 }
 
-func (w *lockTracker) snapshot() (map[string]heldLock, map[string]bool) {
-	h := make(map[string]heldLock, len(w.held))
-	for k, v := range w.held {
-		h[k] = v
-	}
-	f := make(map[string]bool, len(w.fresh))
-	for k, v := range w.fresh {
-		f[k] = v
-	}
-	return h, f
+func (f *lockFacts) restore(saved factSet) { *f = *saved.(*lockFacts) }
+
+func (f *lockFacts) scopesBlocks() bool { return false }
+
+func (f *lockFacts) detach() {
+	f.held, f.fresh = map[string]heldLock{}, map[string]bool{}
 }
 
-func (w *lockTracker) restore(h map[string]heldLock, f map[string]bool) {
-	w.held, w.fresh = h, f
-}
+func (f *lockFacts) assume(ast.Expr, bool) {}
 
-func (w *lockTracker) stmts(list []ast.Stmt) {
-	for _, s := range list {
-		w.stmt(s)
+// bind makes name fresh when rhs constructs a value in place.
+func (f *lockFacts) bind(name string, rhs ast.Expr) {
+	if isCompositeCreation(rhs) {
+		f.fresh[name] = true
+	} else {
+		delete(f.fresh, name)
 	}
 }
 
-func (w *lockTracker) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case nil:
-	case *ast.ExprStmt:
-		w.scanExpr(s.X, false)
-	case *ast.AssignStmt:
-		w.assign(s)
-	case *ast.IncDecStmt:
-		w.scanExpr(s.X, true)
-	case *ast.DeferStmt:
-		if mu, method, ok := asLockOp(w.p, s.Call); ok {
-			// defer mu.Unlock() keeps the lock held to function end;
-			// defer mu.Lock() is nonsense and ignored.
-			if method == "Lock" || method == "RLock" {
-				return
-			}
-			w.scanExpr(mu, false)
-			return
-		}
-		// A deferred closure runs at return, usually with whatever the
-		// function still holds; approximate with the current set.
-		w.scanExpr(s.Call, false)
-	case *ast.GoStmt:
-		// The goroutine runs concurrently: it starts with no locks of
-		// its own, and the spawner's locks impose no ordering on it.
-		h, f := w.snapshot()
-		w.held = map[string]heldLock{}
-		w.fresh = map[string]bool{}
-		w.inGo++
-		w.scanExpr(s.Call, false)
-		w.inGo--
-		w.restore(h, f)
-	case *ast.SendStmt:
-		w.scanExpr(s.Chan, false)
-		w.scanExpr(s.Value, false)
-		w.killFresh(s.Value)
-	case *ast.ReturnStmt:
-		for _, r := range s.Results {
-			w.scanExpr(r, false)
-			w.killFresh(r)
-		}
-	case *ast.IfStmt:
-		w.stmt(s.Init)
-		w.scanExpr(s.Cond, false)
-		h, f := w.snapshot()
-		w.stmts(s.Body.List)
-		w.restore(h, f)
-		if s.Else != nil {
-			h, f = w.snapshot()
-			w.stmt(s.Else)
-			w.restore(h, f)
-		}
-	case *ast.ForStmt:
-		w.stmt(s.Init)
-		w.scanExpr(s.Cond, false)
-		h, f := w.snapshot()
-		w.stmts(s.Body.List)
-		w.stmt(s.Post)
-		w.restore(h, f)
-	case *ast.RangeStmt:
-		w.scanExpr(s.X, false)
-		h, f := w.snapshot()
-		for _, e := range []ast.Expr{s.Key, s.Value} {
-			if id, ok := e.(*ast.Ident); ok {
-				delete(w.fresh, id.Name)
-			}
-		}
-		w.stmts(s.Body.List)
-		w.restore(h, f)
-	case *ast.SwitchStmt:
-		w.stmt(s.Init)
-		w.scanExpr(s.Tag, false)
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			h, f := w.snapshot()
-			for _, e := range cc.List {
-				w.scanExpr(e, false)
-			}
-			w.stmts(cc.Body)
-			w.restore(h, f)
-		}
-	case *ast.TypeSwitchStmt:
-		w.stmt(s.Init)
-		w.stmt(s.Assign)
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CaseClause)
-			h, f := w.snapshot()
-			w.stmts(cc.Body)
-			w.restore(h, f)
-		}
-	case *ast.SelectStmt:
-		for _, c := range s.Body.List {
-			cc := c.(*ast.CommClause)
-			h, f := w.snapshot()
-			w.stmt(cc.Comm)
-			w.stmts(cc.Body)
-			w.restore(h, f)
-		}
-	case *ast.BlockStmt:
-		// Plain blocks do not scope locks: an acquisition inside persists.
-		w.stmts(s.List)
-	case *ast.LabeledStmt:
-		w.stmt(s.Stmt)
-	case *ast.DeclStmt:
-		if gd, ok := s.Decl.(*ast.GenDecl); ok {
-			for _, spec := range gd.Specs {
-				if vs, ok := spec.(*ast.ValueSpec); ok {
-					for _, v := range vs.Values {
-						w.scanExpr(v, false)
-					}
-					for i, name := range vs.Names {
-						if i < len(vs.Values) && isCompositeCreation(vs.Values[i]) {
-							w.fresh[name.Name] = true
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// assign scans an assignment: RHS reads, LHS writes, freshness updates.
-func (w *lockTracker) assign(s *ast.AssignStmt) {
-	for _, rhs := range s.Rhs {
-		w.scanExpr(rhs, false)
-	}
-	oneToOne := len(s.Lhs) == len(s.Rhs)
-	for i, lhs := range s.Lhs {
-		switch l := lhs.(type) {
-		case *ast.Ident:
-			if l.Name == "_" {
-				continue
-			}
-			if oneToOne && isCompositeCreation(s.Rhs[i]) {
-				w.fresh[l.Name] = true
-			} else {
-				delete(w.fresh, l.Name)
-			}
-		default:
-			w.scanExpr(lhs, true)
-		}
-	}
-	// A fresh local copied wholesale to another variable has aliased:
-	// stop exempting it.
-	for _, rhs := range s.Rhs {
-		w.killFresh(rhs)
-	}
-}
-
-// killFresh drops the freshness of e when it is a bare local (or its
+// escape drops the freshness of e when it is a bare local (or its
 // address): passing it to a call, returning it, sending it, or aliasing
 // it publishes the value to code that may run under different locks.
-func (w *lockTracker) killFresh(e ast.Expr) {
+func (f *lockFacts) escape(e ast.Expr) {
 	switch e := e.(type) {
 	case *ast.Ident:
-		delete(w.fresh, e.Name)
+		delete(f.fresh, e.Name)
 	case *ast.UnaryExpr:
 		if e.Op == token.AND {
-			w.killFresh(e.X)
+			f.escape(e.X)
 		}
 	case *ast.ParenExpr:
-		w.killFresh(e.X)
+		f.escape(e.X)
 	}
 }
 
-// isCompositeCreation reports whether e constructs a value in place:
-// T{...} or &T{...}.
-func isCompositeCreation(e ast.Expr) bool {
-	if u, ok := e.(*ast.UnaryExpr); ok && u.Op == token.AND {
-		e = u.X
-	}
-	_, ok := e.(*ast.CompositeLit)
-	return ok
-}
-
-// scanExpr walks an expression, firing access/call hooks and applying
-// lock operations encountered along the way. write marks e itself as a
-// store target (assignment LHS, IncDec operand, address-taken selector).
-func (w *lockTracker) scanExpr(e ast.Expr, write bool) {
-	switch e := e.(type) {
-	case nil:
-	case *ast.Ident, *ast.BasicLit:
-	case *ast.SelectorExpr:
-		w.scanExpr(e.X, false)
-		if w.onAccess != nil {
-			w.onAccess(w, e, write)
-		}
-	case *ast.CallExpr:
-		if mu, method, ok := asLockOp(w.p, e); ok {
-			w.lockOp(mu, method)
-			return
-		}
-		w.scanExpr(e.Fun, false)
-		for _, a := range e.Args {
-			if fl, ok := a.(*ast.FuncLit); ok {
-				// Synchronous-callback assumption: the callee runs the
-				// closure before returning, under the current locks.
-				h, f := w.snapshot()
-				w.stmts(fl.Body.List)
-				w.restore(h, f)
-				continue
-			}
-			w.scanExpr(a, false)
-			w.killFresh(a)
-		}
-		if w.onCall != nil {
-			w.onCall(w, e)
-		}
-	case *ast.FuncLit:
-		// A closure not in call position runs later, with no claim on
-		// the current lock set.
-		h, f := w.snapshot()
-		w.held = map[string]heldLock{}
-		w.fresh = map[string]bool{}
-		w.stmts(e.Body.List)
-		w.restore(h, f)
-	case *ast.UnaryExpr:
-		if e.Op == token.AND {
-			switch e.X.(type) {
-			case *ast.SelectorExpr, *ast.IndexExpr:
-				// Handing out the address lets the recipient mutate.
-				w.scanExpr(e.X, true)
-				return
-			}
-		}
-		w.scanExpr(e.X, false)
-	case *ast.StarExpr:
-		w.scanExpr(e.X, false)
-	case *ast.ParenExpr:
-		w.scanExpr(e.X, write)
-	case *ast.IndexExpr:
-		w.scanExpr(e.X, write)
-		w.scanExpr(e.Index, false)
-	case *ast.SliceExpr:
-		w.scanExpr(e.X, false)
-		w.scanExpr(e.Low, false)
-		w.scanExpr(e.High, false)
-		w.scanExpr(e.Max, false)
-	case *ast.BinaryExpr:
-		w.scanExpr(e.X, false)
-		w.scanExpr(e.Y, false)
-	case *ast.TypeAssertExpr:
-		w.scanExpr(e.X, false)
-	case *ast.KeyValueExpr:
-		w.scanExpr(e.Value, false)
-		w.killFresh(e.Value)
-	case *ast.CompositeLit:
-		structLit := false
-		if tv, ok := w.p.Info.Types[e]; ok && tv.Type != nil {
-			_, structLit = derefType(tv.Type).Underlying().(*types.Struct)
-		}
-		for _, el := range e.Elts {
-			if kv, ok := el.(*ast.KeyValueExpr); ok {
-				if !structLit {
-					w.scanExpr(kv.Key, false)
-				}
-				w.scanExpr(kv.Value, false)
-				w.killFresh(kv.Value)
-				continue
-			}
-			w.scanExpr(el, false)
-			w.killFresh(el)
-		}
-	}
-}
-
-// lockOp applies a Lock/RLock/Unlock/RUnlock on the mutex expression.
-func (w *lockTracker) lockOp(mu ast.Expr, method string) {
-	w.scanExpr(mu, false)
+func (f *lockFacts) lockOp(mu ast.Expr, method string) {
 	key := exprString(mu)
 	switch method {
 	case "Lock", "RLock", "TryLock", "TryRLock":
@@ -362,13 +98,13 @@ func (w *lockTracker) lockOp(mu ast.Expr, method string) {
 		if method == "RLock" || method == "TryRLock" {
 			mode = 'r'
 		}
-		l := heldLock{mode: mode, class: lockClass(w.p, mu)}
-		if w.onAcquire != nil {
-			w.onAcquire(w, key, l, mu.Pos())
+		l := heldLock{mode: mode, class: lockClass(f.p, mu)}
+		if f.onAcquire != nil {
+			f.onAcquire(key, l, mu.Pos())
 		}
-		w.held[key] = l
+		f.held[key] = l
 	case "Unlock", "RUnlock":
-		delete(w.held, key)
+		delete(f.held, key)
 	}
 }
 
@@ -386,42 +122,11 @@ func asLockOp(p *Package, call *ast.CallExpr) (ast.Expr, string, bool) {
 	default:
 		return nil, "", false
 	}
-	tv, ok := p.Info.Types[sel.X]
-	if !ok || !isMutexType(tv.Type) {
+	t := p.Info.TypeOf(sel.X)
+	if !isNamedType(t, "sync", "Mutex") && !isNamedType(t, "sync", "RWMutex") {
 		return nil, "", false
 	}
 	return sel.X, sel.Sel.Name, true
-}
-
-// isMutexType reports whether t is sync.Mutex or sync.RWMutex (possibly
-// behind a pointer).
-func isMutexType(t types.Type) bool {
-	n, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
-}
-
-// isRWMutexType reports whether t is sync.RWMutex (possibly behind a
-// pointer).
-func isRWMutexType(t types.Type) bool {
-	n, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "RWMutex"
-}
-
-// derefType strips one level of pointer.
-func derefType(t types.Type) types.Type {
-	if p, ok := t.(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
 }
 
 // lockClass computes the module-wide identity of a mutex expression:
@@ -476,99 +181,74 @@ var lockedDirectiveRe = regexp.MustCompile(`^smtlint:locked\s+([A-Za-z_][A-Za-z0
 //   - a method name ending in "Locked", which grants every mutex field
 //     of the receiver type.
 func entryHeldLocks(p *Package, fd *ast.FuncDecl) map[string]heldLock {
-	recv := ""
+	recv, prefix := "", ""
+	var mus map[string]bool
 	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
 		recv = fd.Recv.List[0].Names[0].Name
-	}
-	var names []string
-	if fd.Doc != nil {
-		for _, m := range callersHoldRe.FindAllStringSubmatch(fd.Doc.Text(), -1) {
-			names = append(names, m[1])
-		}
-		for _, c := range fd.Doc.List {
-			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-			if m := lockedDirectiveRe.FindStringSubmatch(text); m != nil {
-				names = append(names, m[1])
-			}
-		}
-	}
-	if recv != "" && strings.HasSuffix(fd.Name.Name, "Locked") {
-		names = append(names, mutexFieldNames(p, fd)...)
-	}
-	if len(names) == 0 {
-		return nil
+		prefix, mus = recvMutexes(p, fd)
 	}
 	out := map[string]heldLock{}
+	if recv != "" && strings.HasSuffix(fd.Name.Name, "Locked") {
+		for n := range mus {
+			out[recv+"."+n] = heldLock{mode: 'w', class: prefix + n}
+		}
+	}
+	if fd.Doc == nil {
+		return out
+	}
+	var names []string
+	for _, m := range callersHoldRe.FindAllStringSubmatch(fd.Doc.Text(), -1) {
+		names = append(names, m[1])
+	}
+	for _, c := range fd.Doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		if m := lockedDirectiveRe.FindStringSubmatch(text); m != nil {
+			names = append(names, m[1])
+		}
+	}
 	for _, n := range names {
-		key := n
+		if _, ok := mus[n]; ok {
+			out[recv+"."+n] = heldLock{mode: 'w', class: prefix + n}
+			continue
+		}
+		// Fall back to a package-level mutex of that name.
 		class := ""
-		if recv != "" {
-			if cls, ok := recvMutexClass(p, fd, n); ok {
-				key, class = recv+"."+n, cls
-			}
+		if v, ok := p.Types.Scope().Lookup(n).(*types.Var); ok &&
+			(isNamedType(v.Type(), "sync", "Mutex") || isNamedType(v.Type(), "sync", "RWMutex")) {
+			class = p.Types.Name() + "." + n
 		}
-		if key == n {
-			// Fall back to a package-level mutex of that name.
-			if v, ok := p.Types.Scope().Lookup(n).(*types.Var); ok && isMutexType(v.Type()) {
-				class = p.Types.Name() + "." + n
-			}
-		}
-		out[key] = heldLock{mode: 'w', class: class}
+		out[n] = heldLock{mode: 'w', class: class}
 	}
 	return out
 }
 
-// recvMutexClass resolves mutex field name on fd's receiver type to its
-// lock class.
-func recvMutexClass(p *Package, fd *ast.FuncDecl, name string) (string, bool) {
+// recvMutexes returns the lock-class prefix ("pkg.Type.") and the mutex
+// fields (see mutexFields) of fd's receiver struct type, or a nil map
+// when the receiver is not a struct.
+func recvMutexes(p *Package, fd *ast.FuncDecl) (string, map[string]bool) {
 	fn, ok := p.Info.Defs[fd.Name].(*types.Func)
 	if !ok {
-		return "", false
+		return "", nil
 	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return "", false
-	}
-	named, ok := derefType(sig.Recv().Type()).(*types.Named)
+	named, ok := derefType(fn.Type().(*types.Signature).Recv().Type()).(*types.Named)
 	if !ok {
-		return "", false
+		return "", nil
 	}
 	st, ok := named.Underlying().(*types.Struct)
 	if !ok {
-		return "", false
+		return "", nil
 	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() == name && isMutexType(f.Type()) {
-			return named.Obj().Pkg().Name() + "." + named.Obj().Name() + "." + name, true
-		}
-	}
-	return "", false
+	return named.Obj().Pkg().Name() + "." + named.Obj().Name() + ".", mutexFields(st)
 }
 
-// mutexFieldNames lists the mutex-typed field names of fd's receiver
-// struct type.
-func mutexFieldNames(p *Package, fd *ast.FuncDecl) []string {
-	fn, ok := p.Info.Defs[fd.Name].(*types.Func)
-	if !ok {
-		return nil
-	}
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return nil
-	}
-	named, ok := derefType(sig.Recv().Type()).(*types.Named)
-	if !ok {
-		return nil
-	}
-	st, ok := named.Underlying().(*types.Struct)
-	if !ok {
-		return nil
-	}
-	var out []string
+// mutexFields maps the name of each sync.Mutex or sync.RWMutex field of
+// st (possibly behind a pointer) to whether it is an RWMutex.
+func mutexFields(st *types.Struct) map[string]bool {
+	out := map[string]bool{}
 	for i := 0; i < st.NumFields(); i++ {
-		if isMutexType(st.Field(i).Type()) {
-			out = append(out, st.Field(i).Name())
+		t := st.Field(i).Type()
+		if rw := isNamedType(t, "sync", "RWMutex"); rw || isNamedType(t, "sync", "Mutex") {
+			out[st.Field(i).Name()] = rw
 		}
 	}
 	return out

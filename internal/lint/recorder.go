@@ -3,7 +3,10 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"maps"
+	"strings"
 )
 
 // RecorderGuardRule enforces the telemetry overhead contract inside the
@@ -13,16 +16,18 @@ import (
 // guaranteed panic the moment someone runs without -trace — but only on
 // the specific path that dereferences, so it survives ordinary testing.
 //
-// The analysis is lexical, not a full dataflow: an access to expression E
-// is considered guarded when it appears
+// The analysis is lexical, not a full dataflow: it runs on the
+// scopeWalker (walk.go) with guardFacts, and an access to expression E,
+// read or written, is considered guarded when it appears
 //
 //   - inside the then-branch of "if E != nil",
 //   - inside the else-branch of "if E == nil",
 //   - after "if E == nil { return/panic/continue/break }" in the same
-//     statement list,
-//   - on the right of "E != nil && ..." in one condition, or
+//     block,
+//   - on the right of "E != nil && ..." in any expression,
+//   - inside a function literal written where one of the above holds, or
 //   - through an alias "v := E" that is itself guarded by any of the
-//     above.
+//     above, or a local "v := &T{...}".
 //
 // Guarded-ness is tracked by the expression's printed form ("m.rec"),
 // which is exactly as precise as the hot-loop style this repo uses. The
@@ -63,41 +68,42 @@ func (r *RecorderGuardRule) Check(p *Package) []Finding {
 	}
 	var out []Finding
 	for _, fd := range funcDecls(p) {
-		w := &guardWalker{rule: r, pkg: p}
+		f := &guardFacts{p: p, rule: r, nonNil: map[string]bool{}}
 		// A receiver or parameter that is itself one of the guarded types
 		// arrives with its nil-ness already decided by the caller's guard;
 		// treat it as guarded so helper methods on the recorder types (and
 		// helpers taking a checked recorder) don't re-check.
 		for _, field := range funcParams(fd) {
 			for _, name := range field.Names {
-				if obj := p.Info.Defs[name]; obj != nil && r.matchesType(obj.Type()) {
-					w.addGuard(name.Name)
+				if obj := p.Info.Defs[name]; obj != nil && r.guards(obj.Type()) {
+					f.nonNil[name.Name] = true
 				}
 			}
 		}
-		w.stmtList(fd.Body.List, w.snapshot())
-		out = append(out, w.findings...)
+		w := &scopeWalker{p: p, facts: f}
+		w.onAccess = func(sel *ast.SelectorExpr, _ bool) {
+			if !r.guards(p.Info.TypeOf(sel.X)) {
+				return
+			}
+			if x := exprString(sel.X); !f.nonNil[x] {
+				out = append(out, Finding{
+					Pos:  p.Fset.Position(sel.Pos()),
+					Rule: r.Name(),
+					Msg: fmt.Sprintf("%s.%s dereferences a telemetry recorder/sink without a dominating %s != nil check (tracing-off runs carry nil here)",
+						x, sel.Sel.Name, x),
+				})
+			}
+		}
+		w.stmts(fd.Body.List)
 	}
 	return out
 }
 
-// matchesType reports whether t (after stripping one pointer level) is
-// one of the rule's guarded named types.
-func (r *RecorderGuardRule) matchesType(t types.Type) bool {
-	if pt, ok := t.(*types.Pointer); ok {
-		t = pt.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	full := obj.Pkg().Path() + "." + obj.Name()
+// guards reports whether t, behind at most one pointer, is one of the
+// rule's guarded types.
+func (r *RecorderGuardRule) guards(t types.Type) bool {
 	for _, want := range r.Types {
-		if full == want {
+		if i := strings.LastIndex(want, "."); i >= 0 && isNamedType(t, want[:i], want[i+1:]) {
 			return true
 		}
 	}
@@ -116,291 +122,67 @@ func funcParams(fd *ast.FuncDecl) []*ast.Field {
 	return out
 }
 
-// guardWalker walks one function body tracking which recorder-typed
-// expressions are known non-nil at each point.
-type guardWalker struct {
-	rule     *RecorderGuardRule
-	pkg      *Package
-	guards   map[string]bool
-	findings []Finding
+// guardFacts is recorder-guard's factSet: the printed forms of the
+// guarded-type expressions known to be non-nil.
+type guardFacts struct {
+	p      *Package
+	rule   *RecorderGuardRule
+	nonNil map[string]bool
 }
 
-func (w *guardWalker) addGuard(expr string) {
-	if w.guards == nil {
-		w.guards = map[string]bool{}
-	}
-	w.guards[expr] = true
+func (f *guardFacts) clone() factSet {
+	c := *f
+	c.nonNil = maps.Clone(f.nonNil)
+	return &c
 }
 
-// snapshot returns a copy of the current guard set, for scoped branches.
-func (w *guardWalker) snapshot() map[string]bool {
-	c := make(map[string]bool, len(w.guards))
-	for k := range w.guards {
-		c[k] = true
-	}
-	return c
-}
+func (f *guardFacts) restore(saved factSet) { *f = *saved.(*guardFacts) }
 
-func (w *guardWalker) restore(s map[string]bool) { w.guards = s }
+func (f *guardFacts) scopesBlocks() bool { return true }
 
-// stmtList walks statements in order. base is the guard set on entry;
-// guards established by early-return nil checks accumulate for the
-// remainder of the list.
-func (w *guardWalker) stmtList(list []ast.Stmt, base map[string]bool) {
-	w.restore(base)
-	for _, s := range list {
-		w.stmt(s)
+// detach keeps every guard: a closure is taken to run while the guards
+// around it still hold.
+func (f *guardFacts) detach() {}
+
+func (f *guardFacts) assume(cond ast.Expr, truth bool) {
+	if e, nonNil, ok := f.nilCheck(cond); ok && nonNil == truth {
+		f.nonNil[e] = true
 	}
 }
 
-func (w *guardWalker) stmt(s ast.Stmt) {
-	switch s := s.(type) {
-	case *ast.IfStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		w.ifStmt(s)
-	case *ast.AssignStmt:
-		w.assign(s)
-	case *ast.BlockStmt:
-		saved := w.snapshot()
-		w.stmtList(s.List, w.snapshot())
-		w.restore(saved)
-	case *ast.ForStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Cond != nil {
-			w.expr(s.Cond)
-		}
-		saved := w.snapshot()
-		w.stmtList(s.Body.List, w.snapshot())
-		w.restore(saved)
-		if s.Post != nil {
-			w.stmt(s.Post)
-		}
-	case *ast.RangeStmt:
-		w.expr(s.X)
-		saved := w.snapshot()
-		w.stmtList(s.Body.List, w.snapshot())
-		w.restore(saved)
-	case *ast.SwitchStmt:
-		if s.Init != nil {
-			w.stmt(s.Init)
-		}
-		if s.Tag != nil {
-			w.expr(s.Tag)
-		}
-		w.caseBodies(s.Body)
-	case *ast.TypeSwitchStmt:
-		w.caseBodies(s.Body)
-	case *ast.SelectStmt:
-		w.caseBodies(s.Body)
-	default:
-		// Every other statement: scan contained expressions as-is.
-		ast.Inspect(s, func(n ast.Node) bool {
-			if e, ok := n.(ast.Expr); ok {
-				w.expr(e)
-				return false
-			}
-			return true
-		})
+// bind makes "v := E" share E's guard and "v := &T{...}" non-nil; any
+// other assignment to v drops its guard.
+func (f *guardFacts) bind(name string, rhs ast.Expr) {
+	if isCompositeCreation(rhs) || (rhs != nil && f.nonNil[exprString(rhs)]) {
+		f.nonNil[name] = true
+	} else {
+		delete(f.nonNil, name)
 	}
 }
 
-// caseBodies walks each case clause with an isolated guard scope.
-func (w *guardWalker) caseBodies(body *ast.BlockStmt) {
-	saved := w.snapshot()
-	for _, c := range body.List {
-		switch c := c.(type) {
-		case *ast.CaseClause:
-			for _, e := range c.List {
-				w.expr(e)
-			}
-			w.stmtList(c.Body, w.snapshot())
-		case *ast.CommClause:
-			if c.Comm != nil {
-				w.stmt(c.Comm)
-			}
-			w.stmtList(c.Body, w.snapshot())
-		}
-		w.restore(saved)
-	}
-}
+func (f *guardFacts) escape(ast.Expr) {}
 
-// ifStmt handles the guard-establishing forms.
-func (w *guardWalker) ifStmt(s *ast.IfStmt) {
-	outer := w.snapshot()
-	w.cond(s.Cond)
+func (f *guardFacts) lockOp(ast.Expr, string) {}
 
-	if e, ok := w.nilCheck(s.Cond, true); ok { // if E != nil { guarded }
-		w.addGuard(e)
-		w.stmtList(s.Body.List, w.snapshot())
-		w.restore(outer)
-		if s.Else != nil {
-			w.elseBranch(s.Else, outer)
-		}
-		return
-	}
-	if e, ok := w.nilCheck(s.Cond, false); ok { // if E == nil { ... }
-		w.stmtList(s.Body.List, w.snapshot())
-		w.restore(outer)
-		if s.Else != nil {
-			w.addGuard(e)
-			w.elseBranch(s.Else, w.snapshot())
-			w.restore(outer)
-		}
-		// A terminating then-branch guards the rest of the list.
-		if terminates(s.Body) {
-			w.addGuard(e)
-		}
-		return
-	}
-	w.stmtList(s.Body.List, w.snapshot())
-	w.restore(outer)
-	if s.Else != nil {
-		w.elseBranch(s.Else, outer)
-	}
-}
-
-func (w *guardWalker) elseBranch(e ast.Stmt, base map[string]bool) {
-	saved := w.snapshot()
-	w.restore(base)
-	switch e := e.(type) {
-	case *ast.BlockStmt:
-		w.stmtList(e.List, w.snapshot())
-	default:
-		w.stmt(e)
-	}
-	w.restore(saved)
-}
-
-// nilCheck matches "E != nil" (wantNonNil) or "E == nil" where E has a
+// nilCheck matches "E != nil" (nonNil) and "E == nil" where E has a
 // guarded type, returning E's printed form.
-func (w *guardWalker) nilCheck(cond ast.Expr, wantNonNil bool) (string, bool) {
-	be, ok := cond.(*ast.BinaryExpr)
-	if !ok {
-		return "", false
+func (f *guardFacts) nilCheck(cond ast.Expr) (e string, nonNil, ok bool) {
+	be, isBin := cond.(*ast.BinaryExpr)
+	if !isBin || (be.Op != token.NEQ && be.Op != token.EQL) {
+		return "", false, false
 	}
-	op := be.Op.String()
-	if (wantNonNil && op != "!=") || (!wantNonNil && op != "==") {
-		return "", false
-	}
-	var e ast.Expr
+	x := be.X
 	switch {
-	case isNil(w.pkg, be.Y):
-		e = be.X
-	case isNil(w.pkg, be.X):
-		e = be.Y
+	case isNil(f.p, be.Y):
+	case isNil(f.p, be.X):
+		x = be.Y
 	default:
-		return "", false
+		return "", false, false
 	}
-	tv, ok := w.pkg.Info.Types[e]
-	if !ok || tv.Type == nil || !w.rule.matchesType(tv.Type) {
-		return "", false
+	if !f.rule.guards(f.p.Info.TypeOf(x)) {
+		return "", false, false
 	}
-	return exprString(e), true
-}
-
-// cond walks a condition expression, extending guards across && so that
-// "E != nil && E.X ..." passes.
-func (w *guardWalker) cond(e ast.Expr) {
-	be, ok := e.(*ast.BinaryExpr)
-	if ok && be.Op.String() == "&&" {
-		w.cond(be.X)
-		saved := w.snapshot()
-		if g, isGuard := w.nilCheck(be.X, true); isGuard {
-			w.addGuard(g)
-		}
-		w.cond(be.Y)
-		w.restore(saved)
-		return
-	}
-	w.expr(e)
-}
-
-// assign tracks aliases: "v := E" makes v share E's guard state; any
-// other assignment to v invalidates it. The RHS itself is scanned.
-func (w *guardWalker) assign(s *ast.AssignStmt) {
-	for _, rhs := range s.Rhs {
-		w.expr(rhs)
-	}
-	if len(s.Lhs) != len(s.Rhs) {
-		return
-	}
-	for i, lhs := range s.Lhs {
-		id, ok := lhs.(*ast.Ident)
-		if !ok || id.Name == "_" {
-			continue
-		}
-		rhsStr := exprString(s.Rhs[i])
-		if w.guards[rhsStr] {
-			w.addGuard(id.Name)
-		} else {
-			delete(w.guards, id.Name)
-		}
-	}
-}
-
-// expr scans an expression for unguarded dereferences of guarded types.
-// Embedded && chains (in return values, assignments, nested conditions)
-// get the same guard extension as if-conditions.
-func (w *guardWalker) expr(e ast.Expr) {
-	if e == nil {
-		return
-	}
-	if be, ok := e.(*ast.BinaryExpr); ok && be.Op.String() == "&&" {
-		w.cond(be)
-		return
-	}
-	ast.Inspect(e, func(n ast.Node) bool {
-		if be, ok := n.(*ast.BinaryExpr); ok && be.Op.String() == "&&" {
-			w.cond(be)
-			return false
-		}
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		// Package selectors (telemetry.NewRecorder) are not dereferences.
-		if id, ok := sel.X.(*ast.Ident); ok {
-			if _, isPkg := w.pkg.Info.Uses[id].(*types.PkgName); isPkg {
-				return true
-			}
-		}
-		tv, ok := w.pkg.Info.Types[sel.X]
-		if !ok || tv.Type == nil || !w.rule.matchesType(tv.Type) {
-			return true
-		}
-		if x := exprString(sel.X); !w.guards[x] {
-			w.findings = append(w.findings, Finding{
-				Pos:  w.pkg.Fset.Position(sel.Pos()),
-				Rule: w.rule.Name(),
-				Msg: fmt.Sprintf("%s.%s dereferences a telemetry recorder/sink without a dominating %s != nil check (tracing-off runs carry nil here)",
-					x, sel.Sel.Name, x),
-			})
-		}
-		return true
-	})
-}
-
-// terminates reports whether a block always transfers control out
-// (return, panic, continue, break, goto).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
+	return exprString(x), be.Op == token.NEQ, true
 }
 
 // isNil reports whether e is the untyped nil.
@@ -411,20 +193,4 @@ func isNil(p *Package, e ast.Expr) bool {
 	}
 	_, isNilObj := p.Info.Uses[id].(*types.Nil)
 	return isNilObj || id.Name == "nil"
-}
-
-// exprString renders a simple expression (identifiers and selector
-// chains) to its source form for guard matching; anything more complex
-// renders uniquely by position so it never matches a guard.
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.ParenExpr:
-		return exprString(e.X)
-	default:
-		return fmt.Sprintf("<expr@%d>", e.Pos())
-	}
 }
