@@ -126,8 +126,12 @@ bench-gate:
 # asserts resource conservation, program-order commit, and
 # wakeup/ready-queue consistency each cycle. Checked machines step every
 # cycle, so the same run without -check, which skips quiet cycles, must
-# print byte-identical output.
+# print byte-identical output. The same holds for a short STEEP-WIPC
+# smtsim run, single-core and on 2 cores, which puts every member of
+# its probe batches under the checks.
 FUZZ_FIG9 = -epochs 3 -workloads art-mcf,art-gzip,ammp-applu-art-mcf fig9
+FUZZ_STEEP = -json -tech STEEP-WIPC -epoch-size 4096 -epochs 3
+FUZZ_STEEP2 = $(FUZZ_STEEP) -cores 2 -workload art,mcf,fma3d,gcc
 fuzzsmoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 5s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzParseWorkload -fuzztime 5s ./internal/workload
@@ -138,6 +142,13 @@ fuzzsmoke:
 	./bin/experiments -check $(FUZZ_FIG9) > bin/fig9-check.txt
 	./bin/experiments $(FUZZ_FIG9) > bin/fig9-skip.txt
 	cmp bin/fig9-check.txt bin/fig9-skip.txt
+	$(GO) build -o bin/smtsim ./cmd/smtsim
+	./bin/smtsim -check $(FUZZ_STEEP) > bin/steep-check.json
+	./bin/smtsim $(FUZZ_STEEP) > bin/steep-skip.json
+	cmp bin/steep-check.json bin/steep-skip.json
+	./bin/smtsim -check $(FUZZ_STEEP2) > bin/steep2-check.json
+	./bin/smtsim $(FUZZ_STEEP2) > bin/steep2-skip.json
+	cmp bin/steep2-check.json bin/steep2-skip.json
 
 # profile regenerates fig4 under the CPU profiler and prints the ten
 # hottest functions. The profile is left in bin/cpu.pprof for

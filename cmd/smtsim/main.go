@@ -13,8 +13,10 @@
 //	                                         # multi-core with allocation
 //
 // Techniques: ICOUNT, STALL, FLUSH, DCRA, STATIC, HILL-IPC, HILL-WIPC,
-// HILL-HWIPC, HILL-PHASE, STEEP-WIPC (batched steepest-ascent: all
-// ±Delta moves probed per epoch on a pipeline.MachineBatch).
+// HILL-HWIPC, HILL-PHASE, STEEP-WIPC (batched steepest-ascent: before
+// each epoch, the anchor and every ±Delta move are probed for
+// -epoch-size cycles, the epoch the winner then governs, on a
+// pipeline.MachineBatch).
 //
 // The run goes through internal/simjob, the same spec/result schema the
 // smtserved daemon serves, so -json output is byte-compatible with the

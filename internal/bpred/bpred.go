@@ -11,7 +11,10 @@
 // machine checkpointing (CloneInto).
 package bpred
 
-import "slices"
+import (
+	"fmt"
+	"slices"
+)
 
 // Config sizes the predictor components. The zero value is invalid; use
 // Default for the paper's Table 1 configuration.
@@ -19,7 +22,7 @@ type Config struct {
 	GshareEntries  int // pattern history table entries (power of two)
 	BimodalEntries int // bimodal table entries (power of two)
 	MetaEntries    int // meta chooser entries (power of two)
-	BTBSets        int // BTB sets
+	BTBSets        int // BTB sets (power of two)
 	BTBWays        int // BTB associativity
 	RASEntries     int // return address stack depth per context
 	Contexts       int // hardware thread contexts
@@ -65,7 +68,14 @@ type Predictor struct {
 }
 
 // New returns a predictor with all counters initialised to weakly taken.
+// It panics unless every indexed table size is a power of two: the
+// per-branch indices are masks rather than divisions.
 func New(cfg Config) *Predictor {
+	for _, n := range []int{cfg.GshareEntries, cfg.BimodalEntries, cfg.MetaEntries, cfg.BTBSets} {
+		if n < 1 || n&(n-1) != 0 {
+			panic(fmt.Sprintf("bpred: table of %d entries is not a power of two", n))
+		}
+	}
 	p := &Predictor{
 		cfg:     cfg,
 		gshare:  make([]uint8, cfg.GshareEntries),
@@ -187,7 +197,7 @@ func boolBit(b bool) uint64 {
 // BTBLookup returns the predicted target for a taken branch at pc, or
 // ok=false on a BTB miss.
 func (p *Predictor) BTBLookup(pc uint64) (target uint64, ok bool) {
-	set := int(pc>>2) % p.cfg.BTBSets
+	set := int(pc>>2) & (p.cfg.BTBSets - 1)
 	base := set * p.cfg.BTBWays
 	for i := 0; i < p.cfg.BTBWays; i++ {
 		e := &p.btb[base+i]
@@ -203,7 +213,7 @@ func (p *Predictor) BTBLookup(pc uint64) (target uint64, ok bool) {
 // BTBUpdate installs or refreshes the target for the branch at pc,
 // evicting the least recently used way on a conflict.
 func (p *Predictor) BTBUpdate(pc, target uint64) {
-	set := int(pc>>2) % p.cfg.BTBSets
+	set := int(pc>>2) & (p.cfg.BTBSets - 1)
 	base := set * p.cfg.BTBWays
 	victim := base
 	for i := 0; i < p.cfg.BTBWays; i++ {

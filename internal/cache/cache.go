@@ -11,6 +11,8 @@
 // machine checkpointing.
 package cache
 
+import "fmt"
+
 // Config sizes one cache level.
 type Config struct {
 	SizeBytes int // total capacity
@@ -21,6 +23,17 @@ type Config struct {
 
 // Sets returns the number of sets implied by the configuration.
 func (c Config) Sets() int { return c.SizeBytes / (c.BlockSize * c.Ways) }
+
+// setMask returns the mask that maps a block tag to its set. It panics
+// unless the set count is a power of two, so the per-access set index
+// is a mask rather than a division.
+func (c Config) setMask() uint64 {
+	sets := c.Sets()
+	if sets < 1 || sets&(sets-1) != 0 {
+		panic(fmt.Sprintf("cache: %d sets is not a power of two", sets))
+	}
+	return uint64(sets - 1)
+}
 
 // HierarchyConfig describes the full memory system.
 type HierarchyConfig struct {
@@ -65,8 +78,8 @@ func (s Stats) MissRate() float64 {
 // Cache is one set-associative level with LRU replacement.
 type Cache struct {
 	cfg      Config
-	sets     int
-	shift    uint // log2(BlockSize)
+	setMask  uint64 // sets-1; the set count is a power of two
+	shift    uint   // log2(BlockSize)
 	lines    []line
 	tick     uint32
 	Stats    Stats
@@ -77,16 +90,16 @@ type Cache struct {
 // NewCache builds a level sized for the given number of hardware contexts'
 // statistics.
 func NewCache(cfg Config, contexts int) *Cache {
-	sets := cfg.Sets()
+	mask := cfg.setMask()
 	shift := uint(0)
 	for 1<<shift < cfg.BlockSize {
 		shift++
 	}
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
+		setMask:  mask,
 		shift:    shift,
-		lines:    make([]line, sets*cfg.Ways),
+		lines:    make([]line, cfg.Sets()*cfg.Ways),
 		perTh:    make([]Stats, contexts),
 		contexts: contexts,
 	}
@@ -120,7 +133,7 @@ func (c *Cache) ResetThreadStats() {
 // and reports whether it hit.
 func (c *Cache) Access(th int, addr uint64) (hit bool) {
 	tag := addr >> c.shift
-	set := int(tag % uint64(c.sets))
+	set := int(tag & c.setMask)
 	base := set * c.cfg.Ways
 	c.Stats.Accesses++
 	c.perTh[th].Accesses++
@@ -147,7 +160,7 @@ func (c *Cache) Access(th int, addr uint64) (hit bool) {
 // Probe reports whether addr is present without updating any state.
 func (c *Cache) Probe(addr uint64) bool {
 	tag := addr >> c.shift
-	set := int(tag % uint64(c.sets))
+	set := int(tag & c.setMask)
 	base := set * c.cfg.Ways
 	for i := 0; i < c.cfg.Ways; i++ {
 		l := &c.lines[base+i]

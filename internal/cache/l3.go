@@ -36,10 +36,10 @@ func DefaultL3() L3Config {
 // System. It is accessed only from the System's lock-step cycle loop —
 // single-goroutine by construction, so it carries no locks.
 type SharedL3 struct {
-	cfg   L3Config
-	sets  int
-	shift uint
-	lines []line
+	cfg     L3Config
+	setMask uint64 // sets-1; the set count is a power of two
+	shift   uint
+	lines   []line
 	// owner tracks which core filled each line, for the occupancy and
 	// cross-eviction accounting; -1 means invalid.
 	owner []int8
@@ -68,14 +68,15 @@ type CoreL3Stats struct {
 
 // NewSharedL3 builds the shared level for the given number of cores.
 func NewSharedL3(cfg L3Config, cores int) *SharedL3 {
-	sets := cfg.Sets()
+	mask := cfg.setMask()
 	shift := uint(0)
 	for 1<<shift < cfg.BlockSize {
 		shift++
 	}
+	sets := cfg.Sets()
 	l := &SharedL3{
 		cfg:     cfg,
-		sets:    sets,
+		setMask: mask,
 		shift:   shift,
 		lines:   make([]line, sets*cfg.Ways),
 		owner:   make([]int8, sets*cfg.Ways),
@@ -116,7 +117,7 @@ func (l *SharedL3) Access(c int, addr uint64) (extra int, hit bool) {
 	}
 
 	tag := addr >> l.shift
-	set := int(tag % uint64(l.sets))
+	set := int(tag & l.setMask)
 	base := set * l.cfg.Ways
 	l.Stats.Accesses++
 	l.perCore[c].Accesses++
@@ -152,7 +153,7 @@ func (l *SharedL3) Access(c int, addr uint64) (extra int, hit bool) {
 // write path, where retirement-time stores return no latency).
 func (l *SharedL3) Fill(c int, addr uint64) {
 	tag := addr >> l.shift
-	set := int(tag % uint64(l.sets))
+	set := int(tag & l.setMask)
 	base := set * l.cfg.Ways
 	l.tick++
 	victim := base

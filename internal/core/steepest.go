@@ -37,7 +37,12 @@ type Steepest struct {
 	// Overhead is the per-invocation stall cost charged to the live
 	// machine, modelling the software implementation.
 	Overhead int
-	// ProbeCycles is each probe's horizon; DefaultEpochSize when 0.
+	// ProbeCycles is each probe's horizon in cycles. Each candidate is
+	// scored on the epoch it would partition (Section 3.1.1), so set it
+	// to the runner's EpochSize: a longer horizon costs proportionally
+	// more simulation and scores a stretch of execution the adopted
+	// partition does not govern. There is no default; Decide panics
+	// while it is not positive.
 	ProbeCycles int
 
 	threads int
@@ -51,17 +56,17 @@ type Steepest struct {
 // NewSteepest returns a steepest-ascent climber for a machine with the
 // given thread count and rename-register file size, with the paper's
 // step size and overhead. The initial anchor is the equal partitioning.
-// Bind M (the live machine probes clone from) before the first Decide.
+// Bind M (the live machine probes clone from) and ProbeCycles (the
+// runner's epoch size) before the first Decide.
 func NewSteepest(threads, renameRegs int, metric metrics.Kind) *Steepest {
 	return &Steepest{
-		Delta:       DefaultDelta,
-		Metric:      metric,
-		Overhead:    HillOverheadCycles,
-		ProbeCycles: DefaultEpochSize,
-		threads:     threads,
-		total:       renameRegs,
-		anchor:      resource.EqualShares(threads, renameRegs),
-		probe:       Probe{K: threads + 1},
+		Delta:    DefaultDelta,
+		Metric:   metric,
+		Overhead: HillOverheadCycles,
+		threads:  threads,
+		total:    renameRegs,
+		anchor:   resource.EqualShares(threads, renameRegs),
+		probe:    Probe{K: threads + 1},
 	}
 }
 
@@ -99,7 +104,7 @@ func (s *Steepest) Decide(prev *EpochResult) resource.Shares {
 	}
 	probe := s.ProbeCycles
 	if probe <= 0 {
-		probe = DefaultEpochSize
+		panic("core: Steepest.Decide with no probe horizon; set ProbeCycles to the runner's epoch size")
 	}
 	s.cands = append(s.cands[:0], s.anchor)
 	for d := 0; d < s.threads; d++ {

@@ -135,6 +135,9 @@ func decodeKey(key string) (keyedJob, bool, error) {
 			}
 		}
 	}
+	if _, ok := params["wu"]; ok && a.cfg.WarmupEpochs < 1 {
+		return refuse("warm-up %d below 1", a.cfg.WarmupEpochs)
+	}
 	if v, ok := params["wl"]; ok {
 		if a.w, err = workload.Parse(v); err != nil {
 			return refuse("%v", err)

@@ -125,9 +125,9 @@ func rekey(t *testing.T, key, name, value string) string {
 }
 
 // TestExecKeyRefusesBeforeRunning: a key that names a family but does
-// not rebuild to itself — a parameter dropped or added, or an unknown
-// app, technique or workload — is refused before any simulation,
-// solo references included, touches the engine.
+// not rebuild to itself — a parameter dropped or added, an unknown app,
+// technique or workload, or a warm-up below 1 — is refused before any
+// simulation, solo references included, touches the engine.
 func TestExecKeyRefusesBeforeRunning(t *testing.T) {
 	keys := familyKeys()
 	var bad []string
@@ -152,6 +152,9 @@ func TestExecKeyRefusesBeforeRunning(t *testing.T) {
 			if _, ok := params[name]; ok {
 				bad = append(bad, rekey(t, key, name, unknown))
 			}
+		}
+		if _, ok := params["wu"]; ok {
+			bad = append(bad, rekey(t, key, "wu", "0"), rekey(t, key, "wu", "-1"))
 		}
 	}
 	bad = append(bad,
@@ -232,6 +235,12 @@ func FuzzExecKeyDecode(f *testing.F) {
 	f.Add("v1|simjob|cores=9|wl=art")
 	f.Add("v2|offline|wl=%zz")
 	f.Add("not a key")
+	prefix, params, err := sweep.ParseKey(familyKeys()["offline"])
+	if err != nil {
+		f.Fatal(err)
+	}
+	params["wu"] = "0" // the figure builders panic here; the decoder must refuse first
+	f.Add(sweep.KeyFrom(prefix, params))
 	f.Fuzz(func(t *testing.T, key string) {
 		j, ok, err := decodeKey(key)
 		if !ok || err != nil {
@@ -248,6 +257,30 @@ func FuzzExecKeyDecode(f *testing.F) {
 			t.Fatalf("accepted %q without a runnable job", key)
 		}
 	})
+}
+
+// TestFigureJobsRefuseNoWarmup: every figure job builder that keys a
+// warm-up panics on a Config with none, rather than simjob running its
+// default of 2 where the ideal learners would run 0.
+func TestFigureJobsRefuseNoWarmup(t *testing.T) {
+	cfg := tiny()
+	cfg.WarmupEpochs = 0
+	w := workload.ByName("art-mcf")
+	for name, build := range map[string]func(){
+		"techSpec":     func() { techSpec(cfg, w, "DCRA") },
+		"offLineKey":   func() { offLineKey(cfg, w) },
+		"randHillKey":  func() { randHillKey(cfg, w) },
+		"phaseHillKey": func() { phaseHillKey(cfg, w) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s built a job with WarmupEpochs 0", name)
+				}
+			}()
+			build()
+		}()
+	}
 }
 
 // TestFigureRunsAreSimjobSpecs: Figure 9 runs its baselines and HILL as

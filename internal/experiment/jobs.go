@@ -138,18 +138,29 @@ func singlesFor(solos map[string]float64, w workload.Workload) []float64 {
 	return out
 }
 
+// warmupEpochs is the warm-up every figure job builder keys and runs
+// with. It panics below 1: simjob reads a zero Warmup as its default
+// of 2 while the ideal learners would run none, so one Config would
+// warm its techniques differently. ExecKeyOn refuses such keys before
+// building anything.
+func warmupEpochs(cfg Config) int {
+	if cfg.WarmupEpochs < 1 {
+		panic(fmt.Sprintf("experiment: WarmupEpochs %d below 1", cfg.WarmupEpochs))
+	}
+	return cfg.WarmupEpochs
+}
+
 // techSpec is the simjob spec of one run of w under a simjob technique
 // (a baseline such as "DCRA", or a HILL variant such as "HILL-WIPC"):
 // the spec `smtsim -tech` and a /v1/jobs request name, so every path
-// runs it through simjob.Run and shares one memo and cache entry. A
-// zero WarmupEpochs normalises to simjob's default warmup.
+// runs it through simjob.Run and shares one memo and cache entry.
 func techSpec(cfg Config, w workload.Workload, tech string) simjob.Spec {
 	return simjob.Spec{
 		Workload:  w.Name(),
 		Tech:      tech,
 		Epochs:    cfg.Epochs,
 		EpochSize: cfg.EpochSize,
-		Warmup:    cfg.WarmupEpochs,
+		Warmup:    warmupEpochs(cfg),
 	}
 }
 
@@ -188,7 +199,7 @@ func offLineKey(cfg Config, w workload.Workload) string {
 		"wl":     w.Name(),
 		"es":     strconv.Itoa(cfg.EpochSize),
 		"ep":     strconv.Itoa(cfg.Epochs),
-		"wu":     strconv.Itoa(cfg.WarmupEpochs),
+		"wu":     strconv.Itoa(warmupEpochs(cfg)),
 		"stride": strconv.Itoa(cfg.OffLineStride),
 		"sc":     strconv.Itoa(cfg.SoloCycles),
 	})
@@ -221,7 +232,7 @@ func randHillKey(cfg Config, w workload.Workload) string {
 		"wl":    w.Name(),
 		"es":    strconv.Itoa(cfg.EpochSize),
 		"ep":    strconv.Itoa(cfg.Epochs),
-		"wu":    strconv.Itoa(cfg.WarmupEpochs),
+		"wu":    strconv.Itoa(warmupEpochs(cfg)),
 		"iters": strconv.Itoa(cfg.RandHillIters),
 		"sc":    strconv.Itoa(cfg.SoloCycles),
 	})

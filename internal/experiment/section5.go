@@ -41,7 +41,7 @@ func phaseHillKey(cfg Config, w workload.Workload) string {
 		"wl": w.Name(),
 		"es": strconv.Itoa(cfg.EpochSize),
 		"ep": strconv.Itoa(cfg.Epochs),
-		"wu": strconv.Itoa(cfg.WarmupEpochs),
+		"wu": strconv.Itoa(warmupEpochs(cfg)),
 	})
 }
 

@@ -139,6 +139,19 @@ func TestRecorderGuardRuleSilentOnFixedForm(t *testing.T) {
 	}
 }
 
+// TestRecorderGuardRuleSeesThroughAnd: a nil check anywhere in an &&
+// chain guards what the chain's truth governs, but not across ||.
+func TestRecorderGuardRuleSeesThroughAnd(t *testing.T) {
+	p := fixture(t, "recorderand")
+	got := recorderRule("recorderand").Check(p)
+	wantFindings(t, got, []struct {
+		line int
+		sub  string
+	}{
+		{31, "m.rec.Cycles"},
+	})
+}
+
 func TestFloatCompareRuleFires(t *testing.T) {
 	p := fixture(t, "floatbad")
 	got := NewFloatCompareRule().Check(p)

@@ -28,6 +28,20 @@ func TestLockGuardRuleSilentOnFixedForm(t *testing.T) {
 	}
 }
 
+// TestLockGuardRuleInlineClosures: a closure called on the spot or
+// deferred runs under the locks held where it appears; a go statement's
+// closure runs detached.
+func TestLockGuardRuleInlineClosures(t *testing.T) {
+	p := fixture(t, "lockguardinline")
+	got := NewLockGuardRule().Check(p)
+	wantFindings(t, got, []struct {
+		line int
+		sub  string
+	}{
+		{39, "write of s.jobs requires holding s.mu.Lock"},
+	})
+}
+
 func TestLockGuardRuleRespectsPackageSelection(t *testing.T) {
 	p := fixture(t, "lockguardbad")
 	r := &LockGuardRule{Packages: []string{"internal/serve"}}

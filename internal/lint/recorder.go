@@ -144,7 +144,14 @@ func (f *guardFacts) scopesBlocks() bool { return true }
 // around it still hold.
 func (f *guardFacts) detach() {}
 
+// assume adds the guards cond being truth implies: a nil check, or,
+// when an && holds, the guards each operand implies.
 func (f *guardFacts) assume(cond ast.Expr, truth bool) {
+	if be, ok := ast.Unparen(cond).(*ast.BinaryExpr); ok && be.Op == token.LAND && truth {
+		f.assume(be.X, true)
+		f.assume(be.Y, true)
+		return
+	}
 	if e, nonNil, ok := f.nilCheck(cond); ok && nonNil == truth {
 		f.nonNil[e] = true
 	}

@@ -19,8 +19,9 @@ import (
 // operand of &&) learns is forgotten when that part ends. The one
 // exception is an if whose then-branch always leaves (return, panic,
 // break, continue, goto): what the condition being false implies holds
-// after it. Function literals are walked where they appear. One passed
-// directly as a call argument runs under the current facts (the
+// after it. Function literals are walked where they appear. One that is
+// called on the spot (func(){…}(), also under defer) or passed directly
+// as a call argument runs under the current facts (the
 // synchronous-callback assumption: sort.Slice and friends run it before
 // returning); a go statement and every other literal start from what
 // the fact set says carries into detached code.
@@ -103,7 +104,8 @@ func (w *scopeWalker) stmt(s ast.Stmt) {
 		}
 	case *ast.DeferStmt:
 		// A deferred Unlock keeps the lock held to the end of the
-		// function.
+		// function. A deferred closure runs before the Unlocks deferred
+		// ahead of it, so it is walked under the current locks.
 		if mu, _, ok := asLockOp(w.p, s.Call); ok {
 			w.expr(mu, false)
 			return
@@ -239,7 +241,12 @@ func (w *scopeWalker) expr(e ast.Expr, write bool) {
 			w.facts.lockOp(mu, method)
 			return
 		}
-		w.expr(e.Fun, false)
+		if fl, ok := ast.Unparen(e.Fun).(*ast.FuncLit); ok {
+			// Called on the spot: it runs here, under the current facts.
+			w.scoped(func() { w.stmts(fl.Body.List) })
+		} else {
+			w.expr(e.Fun, false)
+		}
 		for _, a := range e.Args {
 			if fl, ok := a.(*ast.FuncLit); ok {
 				w.scoped(func() { w.stmts(fl.Body.List) })

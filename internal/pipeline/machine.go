@@ -383,8 +383,12 @@ const ringSlotCap = 32
 // newRing builds an n-slot completion ring whose slot backings all live
 // in a single arena allocation, each with length 0 and fixed capacity
 // ringSlotCap (three-index slicing keeps an overflowing append from
-// bleeding into the next slot).
+// bleeding into the next slot). n must be a power of two: the stages
+// index the ring by masking the cycle.
 func newRing(n int) [][]ref {
+	if n < 1 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("pipeline: completion ring of %d slots is not a power of two", n))
+	}
 	arena := make([]ref, n*ringSlotCap)
 	ring := make([][]ref, n)
 	for i := range ring {

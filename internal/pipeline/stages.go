@@ -83,7 +83,7 @@ func (m *Machine) nextEvent(end uint64) uint64 {
 	}
 	ring := uint64(len(m.doneRing))
 	for c := m.now; c < next && c < m.now+ring; c++ {
-		if len(m.doneRing[c%ring]) > 0 {
+		if len(m.doneRing[c&(ring-1)]) > 0 {
 			return c
 		}
 	}
@@ -117,24 +117,49 @@ func (m *Machine) commit(stalled bool) {
 	if stalled {
 		return
 	}
-	budget := m.cfg.CommitWidth
+	// Round-robin across threads, draining each thread's ready head run.
+	// A thread whose head has not completed stays blocked for the rest
+	// of the cycle: committing other threads completes nothing.
+	if budget := m.roundRobin(m.cfg.CommitWidth, true); budget < m.cfg.CommitWidth {
+		m.acted = true
+	}
+}
+
+// roundRobin offers budget slots to the threads in turn, starting at
+// now mod n, until the budget is spent or a full pass makes no
+// progress, and returns the unspent budget. Each slot is one commitOne
+// (commit) or dispatchOne (!commit); the calls are direct so the hot
+// path stays a static call graph. A thread's step fails at most once
+// per stage: once it returns false, the thread is skipped for the rest
+// of the stage, because nothing within one stage can unblock it.
+func (m *Machine) roundRobin(budget int, commit bool) int {
 	n := len(m.threads)
 	start := int(m.now) % n
-	// Round-robin across threads, draining each thread's ready head run.
-	progress := true
-	for budget > 0 && progress {
+	var blocked uint32 // bit th: th's step failed this cycle
+	for progress := true; budget > 0 && progress; {
 		progress = false
+		th := start
 		for i := 0; i < n && budget > 0; i++ {
-			th := (start + i) % n
-			if m.commitOne(th) {
-				budget--
-				progress = true
+			if blocked&(1<<th) == 0 {
+				var ok bool
+				if commit {
+					ok = m.commitOne(th)
+				} else {
+					ok = m.dispatchOne(th)
+				}
+				if ok {
+					budget--
+					progress = true
+				} else {
+					blocked |= 1 << th
+				}
+			}
+			if th++; th == n {
+				th = 0
 			}
 		}
 	}
-	if budget < m.cfg.CommitWidth {
-		m.acted = true
-	}
+	return budget
 }
 
 // commitOne retires thread th's oldest instruction if it has completed.
@@ -198,7 +223,7 @@ func (m *Machine) commitOne(th int) bool {
 // ------------------------------------------------------------- writeback
 
 func (m *Machine) writeback() {
-	slot := int(m.now % uint64(len(m.doneRing)))
+	slot := int(m.now) & (len(m.doneRing) - 1)
 	events := m.doneRing[slot]
 	if len(events) == 0 {
 		return
@@ -249,7 +274,7 @@ func (m *Machine) schedule(r ref, lat int) {
 	if lat >= len(m.doneRing) {
 		lat = len(m.doneRing) - 1 // ring bounds the maximum modelled latency
 	}
-	slot := int((m.now + uint64(lat)) % uint64(len(m.doneRing)))
+	slot := (int(m.now) + lat) & (len(m.doneRing) - 1)
 	//smtlint:ignore hotalloc ring slot reaches its high-water capacity and is recycled with events[:0]
 	m.doneRing[slot] = append(m.doneRing[slot], r)
 }
@@ -456,21 +481,10 @@ func neededIQ(c isa.Class) resource.Kind {
 }
 
 func (m *Machine) dispatch() {
-	budget := m.cfg.FetchWidth // dispatch width equals fetch width
-	n := len(m.threads)
-	start := int(m.now) % n
-	progress := true
-	for budget > 0 && progress {
-		progress = false
-		for i := 0; i < n && budget > 0; i++ {
-			th := (start + i) % n
-			if m.dispatchOne(th) {
-				budget--
-				progress = true
-			}
-		}
-	}
-	if budget < m.cfg.FetchWidth {
+	// Dispatch width equals fetch width. A thread that cannot dispatch
+	// stays blocked for the rest of the cycle: dispatching other threads
+	// only raises occupancy, and its head instruction is unchanged.
+	if budget := m.roundRobin(m.cfg.FetchWidth, false); budget < m.cfg.FetchWidth {
 		m.acted = true
 	}
 }

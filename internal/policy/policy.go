@@ -208,6 +208,13 @@ type DCRA struct {
 	Hysteresis uint64
 
 	lastMiss []uint64
+	// slowSet (bit th) and version (the table's Version right after the
+	// write) record the last time Cycle wrote the limits. While both
+	// still hold, the limits in force are the ones slowSet derives, and
+	// Cycle leaves them be. version 0 means never written: a Table
+	// starts at version 1.
+	slowSet uint32
+	version uint64
 }
 
 // NewDCRA returns the DCRA policy with the default parameters.
@@ -233,30 +240,37 @@ func (*DCRA) Name() string { return "DCRA" }
 var partitioned = [...]resource.Kind{resource.IntIQ, resource.IntRename, resource.ROB}
 
 // Cycle implements pipeline.Policy: reclassify threads and reprogram the
-// partition limits.
+// partition limits. Every thread is reclassified every cycle (slow
+// advances the hysteresis window); the limits are rewritten only when
+// the slow set or the table's programming changed since the last write.
 func (d *DCRA) Cycle(m *pipeline.Machine) {
 	t := m.Threads()
 	res := m.Resources()
 	slowCount := 0
-	var isSlow [16]bool
+	var slowSet uint32
 	for th := 0; th < t; th++ {
-		isSlow[th] = d.slow(m, th)
-		if isSlow[th] {
+		if d.slow(m, th) {
+			slowSet |= 1 << th
 			slowCount++
 		}
 	}
+	if slowSet == d.slowSet && res.Version() == d.version {
+		return
+	}
 	fast := t - slowCount
 	den := fast + d.C*slowCount
+	sizes := res.Sizes()
 	for _, k := range partitioned {
-		e := res.Sizes()[k]
+		e := sizes[k]
 		for th := 0; th < t; th++ {
 			share := e / den
-			if isSlow[th] {
+			if slowSet&(1<<th) != 0 {
 				share = d.C * e / den
 			}
 			res.SetLimit(th, k, share)
 		}
 	}
+	d.slowSet, d.version = slowSet, res.Version()
 }
 
 // FetchLocked implements pipeline.Policy. DCRA's containment works
@@ -291,6 +305,7 @@ func (d *DCRA) Horizon(m *pipeline.Machine) uint64 {
 func (d *DCRA) Clone() pipeline.Policy {
 	c := *d
 	c.lastMiss = append([]uint64(nil), d.lastMiss...)
+	c.version = 0 // the copy's machine may hold another table; rewrite once
 	return &c
 }
 

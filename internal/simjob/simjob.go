@@ -50,8 +50,10 @@ const (
 // Version history: 1 was the first keyed schema; 2 stopped SingleIPC
 // sampling under the non-learning techniques (ICOUNT, STALL, FLUSH,
 // DCRA, STATIC), whose version-1 Results spent T epochs with all but
-// one thread fetch-disabled.
-const schemaVersion = 2
+// one thread fetch-disabled; 3 bound STEEP-WIPC's probe horizon to the
+// spec's EpochSize, where version 2 probed 65,536 cycles whatever the
+// epoch size, so its Results differ at every other EpochSize.
+const schemaVersion = 3
 
 // WireVersion is the current Spec JSON wire version. A client may stamp
 // Spec.Version, and Validate rejects versions newer than this build
@@ -396,7 +398,9 @@ func buildWorkload(w workload.Workload, s Spec) (*pipeline.Machine, core.Distrib
 // technique is the one technique table: it builds the per-cycle policy
 // (nil unless s.Tech is a baseline), the distributor, and the feedback
 // metric for one machine of the given thread count. The single-core
-// path and every core of a multi-core run build through it.
+// path and every core of a multi-core run build through it. s must be
+// normalized: STEEP-WIPC probes each candidate for s.EpochSize cycles,
+// the epoch the adopted partition governs.
 func technique(s Spec, threads int) (pipeline.Policy, core.Distributor, metrics.Kind, error) {
 	renameRegs := resource.DefaultSizes()[resource.IntRename]
 	switch s.Tech {
@@ -420,6 +424,7 @@ func technique(s Spec, threads int) (pipeline.Policy, core.Distributor, metrics.
 	case "STEEP-WIPC":
 		st := core.NewSteepest(threads, renameRegs, metrics.WeightedIPC)
 		st.Delta = s.Delta
+		st.ProbeCycles = s.EpochSize
 		return nil, st, metrics.WeightedIPC, nil
 	}
 	return nil, nil, 0, fmt.Errorf("simjob: unknown technique %q", s.Tech)
