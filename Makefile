@@ -66,7 +66,8 @@ fabric-smoke:
 # obs-smoke runs the observability end-to-end check under the race
 # detector: an in-process coordinator and two traced workers execute a
 # traced fig4 sweep; a single trace ID must span submit, dispatch,
-# remote compute, and store write-back, every dispatch must name its
+# remote compute, and the store reads of OFF-LINE singles (worker
+# client span, coordinator server span), every dispatch must name its
 # pick, and /debug/traces must show the trace (see
 # internal/fabric/obs_test.go and DESIGN.md "Observability").
 obs-smoke:

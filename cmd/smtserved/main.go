@@ -27,12 +27,15 @@
 // "Distributed fabric" section of DESIGN.md):
 //
 //	-role standalone   (default) single-process daemon, exactly as above
-//	-role coordinator  also serve /fabric/v1/* (heartbeat, shared result
-//	                   store) and dispatch this node's sweep jobs across
-//	                   live workers
+//	-role coordinator  also serve /fabric/v1/* (heartbeat, read-only
+//	                   result store) and dispatch this node's sweep jobs
+//	                   across live workers; this node's engine stores
+//	                   every result, its own and the workers'
 //	-role worker       join -coordinator by heartbeating, serve
 //	                   /fabric/v1/exec, and read results through the
-//	                   coordinator's store
+//	                   coordinator's store (it never writes it; with
+//	                   -cache-dir, what it reads and computes is also
+//	                   kept on local disk)
 //
 // A coordinator plus N workers produce byte-identical experiment output
 // to a standalone daemon: job keys encode everything a result depends
@@ -179,13 +182,12 @@ func run() int {
 			logger.Print("-role worker requires -coordinator")
 			return 2
 		}
+		// Without -cache-dir the store client has no local tier: the
+		// engine's memo already keeps what this node computed or read.
 		local, err := localCache()
 		if err != nil {
 			logger.Print(err)
 			return 1
-		}
-		if local == nil {
-			local = fabric.NewMemStore()
 		}
 		workerStore = fabric.NewStoreClient(*coordURL, local, nil)
 		cfg.CacheDir = ""

@@ -92,10 +92,20 @@ var families = map[string]func(a keyArgs) keyedJob{
 	"randhill":  func(a keyArgs) keyedJob { return withSingles(a.cfg, a.w, randHillJob) },
 }
 
+// Bounds on the experiment knobs a key carries. Any client that reaches
+// a worker can post a key, so its numbers are checked before anything
+// is built: the epoch geometry against simjob's Limits, these three
+// with room for Paper() (stride 2, 128 iterations, 4M solo cycles).
+const (
+	maxKeyStride     = 256     // the default integer rename file's size
+	maxKeyIters      = 1024    // RAND-HILL trials per epoch
+	maxKeySoloCycles = 1 << 26 // one stand-alone reference run
+)
+
 // decodeKey rebuilds the job key names without running anything. A
-// parameter the family does not use, a missing one, or a non-canonical
-// spelling makes the rebuilt key differ, and the key is refused; so is
-// an unknown app or workload.
+// parameter the family does not use, a missing one, a number out of
+// range, or a non-canonical spelling makes the key refused; so does an
+// unknown app or workload.
 func decodeKey(key string) (keyedJob, bool, error) {
 	prefix, params, err := sweep.ParseKey(key)
 	if err != nil {
@@ -122,21 +132,30 @@ func decodeKey(key string) (keyedJob, bool, error) {
 
 	a := keyArgs{cfg: Default(), app: params["app"]}
 	for _, f := range []struct {
-		name string
-		dst  *int
+		name     string
+		dst      *int
+		min, max int
 	}{
-		{"es", &a.cfg.EpochSize}, {"ep", &a.cfg.Epochs}, {"wu", &a.cfg.WarmupEpochs},
-		{"stride", &a.cfg.OffLineStride}, {"iters", &a.cfg.RandHillIters},
-		{"sc", &a.cfg.SoloCycles}, {"cycles", &a.cfg.SoloCycles}, // solo keys say "cycles"
+		{"es", &a.cfg.EpochSize, 1, simjob.MaxEpochSize},
+		{"ep", &a.cfg.Epochs, 1, simjob.MaxEpochs},
+		{"wu", &a.cfg.WarmupEpochs, 1, simjob.MaxWarmup},
+		{"stride", &a.cfg.OffLineStride, 1, maxKeyStride},
+		{"iters", &a.cfg.RandHillIters, 1, maxKeyIters},
+		{"sc", &a.cfg.SoloCycles, 1, maxKeySoloCycles},
+		{"cycles", &a.cfg.SoloCycles, 1, maxKeySoloCycles}, // solo keys say "cycles"
 	} {
-		if v, ok := params[f.name]; ok {
-			if *f.dst, err = strconv.Atoi(v); err != nil {
-				return refuse("bad %s %q", f.name, v)
-			}
+		v, ok := params[f.name]
+		if !ok {
+			continue
 		}
-	}
-	if _, ok := params["wu"]; ok && a.cfg.WarmupEpochs < 1 {
-		return refuse("warm-up %d below 1", a.cfg.WarmupEpochs)
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			return refuse("bad %s %q", f.name, v)
+		}
+		if n < f.min || n > f.max {
+			return refuse("%s %d outside [%d, %d]", f.name, n, f.min, f.max)
+		}
+		*f.dst = n
 	}
 	if v, ok := params["wl"]; ok {
 		if a.w, err = workload.Parse(v); err != nil {

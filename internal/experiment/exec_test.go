@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -179,6 +180,59 @@ func TestExecKeyRefusesBeforeRunning(t *testing.T) {
 			if _, _, ok := eng.Lookup(context.Background(), k); ok {
 				t.Errorf("ExecKeyOn(%q) left %s in the memo", key, k)
 			}
+		}
+	}
+}
+
+// TestExecKeyRefusesOutOfRange: a canonical key whose numbers fall
+// outside the bounds is refused before anything runs, and keys at
+// Paper() scale are still accepted. Without the bounds a negative epoch
+// count panicked in the OFF-LINE run after its singles had been
+// computed, and a negative epoch size or solo length ran to an ok
+// result.
+func TestExecKeyRefusesOutOfRange(t *testing.T) {
+	cfg := tiny()
+	w := workload.ByName("art-mcf")
+	keys := familyKeys()
+	cases := []struct{ name, key string }{
+		{"offline ep<0", rekey(t, keys["offline"], "ep", "-3")},
+		{"phasehill es<0", rekey(t, keys["phasehill"], "es", "-4096")},
+		{"solo cycles<0", "v2|solo|app=art|cycles=-5"},
+		{"es 0", rekey(t, keys["phasehill"], "es", "0")},
+		{"es above limit", rekey(t, keys["offline"], "es", strconv.Itoa(simjob.MaxEpochSize+1))},
+		{"ep 0", rekey(t, keys["randhill"], "ep", "0")},
+		{"ep above limit", rekey(t, keys["phasehill"], "ep", strconv.Itoa(simjob.MaxEpochs+1))},
+		{"wu above limit", rekey(t, keys["offline"], "wu", strconv.Itoa(simjob.MaxWarmup+1))},
+		{"stride 0", rekey(t, keys["offline"], "stride", "0")},
+		{"stride above bound", rekey(t, keys["offline"], "stride", strconv.Itoa(maxKeyStride+1))},
+		{"iters<0", rekey(t, keys["randhill"], "iters", "-1")},
+		{"iters above bound", rekey(t, keys["randhill"], "iters", strconv.Itoa(maxKeyIters+1))},
+		{"sc 0", rekey(t, keys["table2"], "sc", "0")},
+		{"sc above bound", rekey(t, keys["randhill"], "sc", strconv.Itoa(maxKeySoloCycles+1))},
+		{"cycles above bound", soloKey("art", maxKeySoloCycles+1)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng := sweep.NewEngine(1)
+			var events atomic.Int64
+			eng.SetObserver(func(sweep.Event) { events.Add(1) })
+			_, handled, err := ExecKeyOn(context.Background(), eng, c.key)
+			if !handled || err == nil || !strings.Contains(err.Error(), "outside") {
+				t.Errorf("ExecKeyOn(%q) = handled=%v err=%v, want an out-of-range refusal", c.key, handled, err)
+			}
+			if n := events.Load(); n != 0 {
+				t.Errorf("ExecKeyOn(%q) submitted work before refusing it (%d engine events)", c.key, n)
+			}
+		})
+	}
+
+	paper := Paper()
+	for _, key := range []string{
+		soloKey("art", paper.SoloCycles), table2Key(paper, "art"), phaseHillKey(paper, w),
+		offLineKey(paper, w), randHillKey(paper, w), offLineKey(cfg, w),
+	} {
+		if _, ok, err := decodeKey(key); !ok || err != nil {
+			t.Errorf("decodeKey(%q) = ok=%v err=%v, want accepted", key, ok, err)
 		}
 	}
 }

@@ -71,8 +71,8 @@ type member struct {
 }
 
 // Coordinator owns the fabric's control plane: worker membership and
-// liveness, the shared result store (served over HTTP), and job
-// dispatch. It implements sweep.Remote, so installing it on an engine
+// liveness, the shared result store (served read-only over HTTP), and
+// job dispatch. It implements sweep.Remote, so installing it on an engine
 // (sweep.SetRemote) makes every engine job transparently eligible for
 // distribution; any dispatch failure falls back to local execution in
 // the engine.
@@ -149,8 +149,9 @@ func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
 func (c *Coordinator) Handler() http.Handler { return c.handler }
 
 // Backend returns the result store as a sweep.Backend. Install it on
-// the coordinator's own engine so locally computed results enter the
-// store exactly like worker uploads.
+// the coordinator's own engine: that engine is the store's only
+// writer, storing each result once, whether a worker computed it or
+// the engine did.
 func (c *Coordinator) Backend() sweep.Backend { return c.store }
 
 // Registry returns the coordinator's metric registry (dispatch,
@@ -426,6 +427,7 @@ func (c *Coordinator) Peers() []PeerStatus {
 }
 
 // Health returns the coordinator's /healthz contribution.
+// fabric_store_keys is the number of results stored so far.
 func (c *Coordinator) Health() map[string]any {
 	peers := c.Peers()
 	alive := 0
@@ -447,9 +449,10 @@ func (c *Coordinator) Health() map[string]any {
 func (c *Coordinator) WriteMetrics(w io.Writer) { c.reg.Write(w) }
 
 // countingStore counts successful Puts into the backing store, the
-// source of Health's fabric_store_keys. Every write path — worker
-// uploads through the HTTP store, the coordinator engine's own cache
-// writes — funnels through Put. A key stored twice counts twice.
+// source of Health's fabric_store_keys. The coordinator's engine is the
+// only writer, and it stores a key only after its memo and this store
+// missed it, so each stored key counts once (unless two concurrent
+// batches miss the same key and both store it).
 type countingStore struct {
 	sweep.Backend
 	puts atomic.Uint64

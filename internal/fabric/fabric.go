@@ -1,8 +1,8 @@
 // Package fabric distributes the sweep engine across processes: a
 // coordinator places each job key on the live worker with the
 // fewest of its dispatches outstanding, workers execute keys on their
-// local engines, and a shared content-addressed result store lets every
-// node serve what any node computed.
+// local engines, and the coordinator's content-addressed result store,
+// served read-only, lets a worker read what any node computed.
 //
 // The design leans entirely on the sweep package's determinism
 // contract: a job key uniquely determines its result, and results
@@ -17,6 +17,11 @@
 // local computation and produces the same bytes.
 //
 // Topology: the coordinator owns the result store and the membership.
+// Its engine is the store's only writer: it stores each result once,
+// the bytes a worker answered with or the ones it computed itself.
+// Workers only read the store (a worker running an OFF-LINE key, say,
+// reads the singles the coordinator computed), and no store route
+// accepts a write.
 // A worker joins by heartbeating over HTTP: its first beat admits it,
 // and later beats keep it live. A heartbeat carries only the worker's
 // id and address. Placement needs no report from the worker: the

@@ -5,6 +5,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,6 +13,7 @@ import (
 
 	"smthill/internal/experiment"
 	"smthill/internal/obs"
+	"smthill/internal/simjob"
 	"smthill/internal/sweep"
 )
 
@@ -228,5 +230,61 @@ func TestFabricWorkerDeathMidSweep(t *testing.T) {
 	if got := namedRun(t, cfg, "table2", experiment.RunOptions{}); !bytes.Equal(got, wantTable2) {
 		t.Errorf("table2 after worker restart differs from serial:\nserial:\n%s\nfabric:\n%s",
 			wantTable2, got)
+	}
+}
+
+// storeRequests sums the coordinator's store request series over their
+// labels, as a scrape of its /metrics would.
+func storeRequests(c *Coordinator) float64 {
+	var b strings.Builder
+	c.WriteMetrics(&b)
+	total := 0.0
+	for _, line := range strings.Split(b.String(), "\n") {
+		if !strings.HasPrefix(line, "smtserved_fabric_store_requests_total{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[strings.LastIndexByte(line, ' ')+1:], 64)
+		if err == nil {
+			total += v
+		}
+	}
+	return total
+}
+
+// TestFabricOneStoreReadPerDispatch: a dispatched key costs its worker
+// one store request, the read its engine makes before computing, and
+// the coordinator's engine stores the result once. Workers never write
+// the store.
+func TestFabricOneStoreReadPerDispatch(t *testing.T) {
+	coord := NewCoordinator(CoordinatorConfig{HeartbeatTimeout: 2 * time.Second, Logf: t.Logf})
+	srv := httptest.NewServer(coord.Handler())
+	t.Cleanup(srv.Close)
+	eng := sweep.NewEngine(2)
+	eng.SetBackend(coord.Backend())
+	eng.SetRemote(coord)
+	startTestWorker(t, "w1", srv.URL)
+	startTestWorker(t, "w2", srv.URL)
+	waitAlive(t, coord, 2)
+
+	var jobs []sweep.Job[simjob.Result]
+	for _, wl := range []string{"art-mcf", "gzip-bzip2"} {
+		for _, tech := range []string{"ICOUNT", "DCRA", "HILL-WIPC"} {
+			spec := tinyExecSpec()
+			spec.Workload, spec.Tech = wl, tech
+			jobs = append(jobs, simjob.Job(spec, nil))
+		}
+	}
+	if _, err := sweep.Run(context.Background(), eng, jobs); err != nil {
+		t.Fatal(err)
+	}
+	n := len(jobs)
+	if got := coord.dispatches.Value(); got != uint64(n) {
+		t.Fatalf("dispatches = %d, want %d", got, n)
+	}
+	if got := storeRequests(coord); got != float64(n) {
+		t.Errorf("store requests = %v for %d dispatched keys, want %d", got, n, n)
+	}
+	if got := coord.Health()["fabric_store_keys"]; got != uint64(n) {
+		t.Errorf("fabric_store_keys = %v for %d keys, want %d", got, n, n)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"smthill/internal/experiment"
@@ -130,9 +131,11 @@ func TestExecHopTraceRoundTrip(t *testing.T) {
 // TestObsSmoke is the CI observability smoke (make obs-smoke): an
 // in-process coordinator and two traced workers run a traced fig4
 // sweep; one trace ID must span submit-side dispatch, remote worker
-// compute, and store write-back across at least two nodes, every
+// compute, and the store reads across at least two nodes, every
 // dispatch must explain its placement, and /debug/traces must show the
-// same trace.
+// same trace. The store reads are the singles a worker running an
+// OFF-LINE key fetches from the coordinator's store: a client span on
+// the worker and a server span on the coordinator.
 func TestObsSmoke(t *testing.T) {
 	cfg := fabricCfg()
 
@@ -161,14 +164,25 @@ func TestObsSmoke(t *testing.T) {
 	spans := coordTracer.CollectTrace(traceID)
 	names := map[string]bool{}
 	nodes := map[string]bool{}
+	var storeGets []string // kind@node of each store.get span
 	for _, d := range spans {
 		names[d.Name] = true
 		nodes[d.Node] = true
+		if d.Name == "store.get" {
+			storeGets = append(storeGets, d.Kind+"@"+d.Node)
+		}
 	}
-	for _, want := range []string{"POST /v1/experiments", "sweep.exec", "fabric.dispatch", "fabric.exec", "store.put"} {
+	for _, want := range []string{"POST /v1/experiments", "sweep.exec", "fabric.dispatch", "fabric.exec", "store.get"} {
 		if !names[want] {
 			t.Errorf("trace %s has no %q span (got %v)", traceID, want, names)
 		}
+	}
+	if names["store.put"] {
+		t.Errorf("trace %s has a store.put span; workers must not write the store", traceID)
+	}
+	if !slices.Contains(storeGets, obs.KindServer+"@coord") ||
+		!slices.Contains(storeGets, obs.KindClient+"@w1") && !slices.Contains(storeGets, obs.KindClient+"@w2") {
+		t.Errorf("store.get spans %v, want a worker client span and a coordinator server span", storeGets)
 	}
 	if !nodes["coord"] || (!nodes["w1"] && !nodes["w2"]) {
 		t.Errorf("trace does not span coordinator and a worker: nodes=%v", nodes)

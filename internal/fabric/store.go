@@ -2,23 +2,20 @@ package fabric
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 
 	"smthill/internal/obs"
 	"smthill/internal/sweep"
 )
 
-// maxResultBytes bounds one stored result on the wire. The largest real
-// payloads (per-epoch IPC vectors at paper scale) are a few hundred KB;
-// 32 MB leaves two orders of magnitude of headroom while keeping a
-// misbehaving client from ballooning a node.
+// maxResultBytes bounds one result read off the wire (a store GET or an
+// exec response). The largest real payloads (per-epoch IPC vectors at
+// paper scale) are a few hundred KB; 32 MB leaves two orders of
+// magnitude of headroom while keeping a misbehaving peer from
+// ballooning a node.
 const maxResultBytes = 32 << 20
 
 // MemStore is an in-memory sweep.Backend: the coordinator's default
@@ -59,19 +56,13 @@ func (s *MemStore) Len() int {
 	return len(s.m)
 }
 
-// etagFor is the strong validator of a stored result: a quoted sha256
-// of the exact bytes.
-func etagFor(raw []byte) string {
-	sum := sha256.Sum256(raw)
-	return `"` + hex.EncodeToString(sum[:]) + `"`
-}
-
 // StoreServer serves a sweep.Backend over HTTP as the fabric's shared
-// content-addressed result store:
+// content-addressed result store, read-only:
 //
-//	GET  /fabric/v1/store?key=K   200 body + ETag, 404 miss
-//	PUT  /fabric/v1/store?key=K   204 + ETag of the stored bytes
+//	GET /fabric/v1/store?key=K   200 body, 404 miss
 //
+// Only the coordinator's engine writes the backend, once per computed
+// key; no route accepts a write, so no client can replace a result.
 // Results are immutable under the determinism contract, so the server
 // never needs invalidation.
 type StoreServer struct {
@@ -80,7 +71,6 @@ type StoreServer struct {
 
 	reg      *obs.Registry
 	requests *obs.CounterVec // op, outcome
-	bytes    *obs.CounterVec // dir
 }
 
 // NewStoreServer serves backend. The Coordinator wraps its backend to
@@ -92,19 +82,12 @@ func NewStoreServer(backend sweep.Backend) *StoreServer {
 		reg:     reg,
 		requests: reg.CounterVec("smtserved_fabric_store_requests_total",
 			"store requests by op and outcome", "op", "outcome"),
-		bytes: reg.CounterVec("smtserved_fabric_store_bytes_total",
-			"result bytes moved by direction", "dir"),
 	}
 	// Materialize every series up front so a scrape shows the full
 	// outcome vocabulary at zero.
-	for _, pair := range [][2]string{
-		{"get", "hit"}, {"get", "miss"},
-		{"put", "stored"}, {"put", "error"}, {"any", "bad_request"},
-	} {
+	for _, pair := range [][2]string{{"get", "hit"}, {"get", "miss"}, {"any", "bad_request"}} {
 		s.requests.With(pair[0], pair[1])
 	}
-	s.bytes.With("served")
-	s.bytes.With("received")
 	return s
 }
 
@@ -115,32 +98,21 @@ func (s *StoreServer) SetTracer(t *obs.Tracer) { s.tracer = t }
 // node-wide one.
 func (s *StoreServer) Registry() *obs.Registry { return s.reg }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. Any method but GET gets 405.
 func (s *StoreServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		w.Header().Set("Allow", http.MethodGet)
+		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+		return
+	}
 	key := r.URL.Query().Get("key")
 	if key == "" {
 		s.requests.With("any", "bad_request").Inc()
 		http.Error(w, "missing key parameter", http.StatusBadRequest)
 		return
 	}
-	ctx, span := s.tracer.StartRemote(r.Context(), obs.Extract(r.Header),
-		"store."+strings.ToLower(r.Method), obs.KindServer)
+	_, span := s.tracer.StartRemote(r.Context(), obs.Extract(r.Header), "store.get", obs.KindServer)
 	span.SetAttr("key", key)
-	r = r.WithContext(ctx)
-	switch r.Method {
-	case http.MethodGet, http.MethodHead:
-		s.handleGet(w, r, key, span)
-	case http.MethodPut:
-		s.handlePut(w, r, key, span)
-	default:
-		w.Header().Set("Allow", "GET, HEAD, PUT")
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		span.End(fmt.Errorf("method %s not allowed", r.Method))
-		return
-	}
-}
-
-func (s *StoreServer) handleGet(w http.ResponseWriter, r *http.Request, key string, span *obs.Span) {
 	raw, ok := s.backend.Get(r.Context(), key)
 	if !ok {
 		s.requests.With("get", "miss").Inc()
@@ -149,43 +121,11 @@ func (s *StoreServer) handleGet(w http.ResponseWriter, r *http.Request, key stri
 		http.Error(w, "no result for key", http.StatusNotFound)
 		return
 	}
-	w.Header().Set("ETag", etagFor(raw))
 	s.requests.With("get", "hit").Inc()
-	s.bytes.With("served").Add(uint64(len(raw)))
 	span.SetAttr("outcome", "hit")
 	span.End(nil)
 	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		_, _ = w.Write(raw)
-	}
-}
-
-func (s *StoreServer) handlePut(w http.ResponseWriter, r *http.Request, key string, span *obs.Span) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBytes))
-	if err != nil {
-		s.requests.With("any", "bad_request").Inc()
-		span.End(err)
-		http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
-		return
-	}
-	if !json.Valid(raw) {
-		s.requests.With("any", "bad_request").Inc()
-		span.End(fmt.Errorf("body is not valid JSON"))
-		http.Error(w, "body is not valid JSON", http.StatusBadRequest)
-		return
-	}
-	if err := s.backend.Put(r.Context(), key, raw); err != nil {
-		s.requests.With("put", "error").Inc()
-		span.End(err)
-		http.Error(w, fmt.Sprintf("store: %v", err), http.StatusInternalServerError)
-		return
-	}
-	s.requests.With("put", "stored").Inc()
-	s.bytes.With("received").Add(uint64(len(raw)))
-	span.End(nil)
-	w.Header().Set("ETag", etagFor(raw))
-	w.WriteHeader(http.StatusNoContent)
+	_, _ = w.Write(raw)
 }
 
 // WriteMetrics renders the server's counters in exposition format.

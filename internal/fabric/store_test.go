@@ -7,13 +7,16 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	neturl "net/url"
 	"strings"
 	"testing"
 )
 
-func TestStoreServerGetPutETag(t *testing.T) {
-	srv := httptest.NewServer(NewStoreServer(NewMemStore()))
+func TestStoreServerGet(t *testing.T) {
+	backend := NewMemStore()
+	srv := httptest.NewServer(NewStoreServer(backend))
 	defer srv.Close()
+	key := "v1|hill|wl=art-mcf"
 	url := srv.URL + "?key=" + "v1%7Chill%7Cwl%3Dart-mcf"
 
 	// Miss first.
@@ -23,26 +26,14 @@ func TestStoreServerGetPutETag(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET before PUT: %d, want 404", resp.StatusCode)
+		t.Fatalf("GET before the backend holds the key: %d, want 404", resp.StatusCode)
 	}
 
-	// PUT stores and returns the content ETag.
+	// GET returns the exact bytes the backend stored.
 	body := []byte(`{"ipc":[1.25,0.5]}`)
-	req, _ := http.NewRequest(http.MethodPut, url, bytes.NewReader(body))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
+	if err := backend.Put(context.Background(), key, body); err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		t.Fatalf("PUT: %d, want 204", resp.StatusCode)
-	}
-	etag := resp.Header.Get("ETag")
-	if etag != etagFor(body) {
-		t.Fatalf("PUT ETag = %q, want %q", etag, etagFor(body))
-	}
-
-	// GET returns the exact bytes and the same ETag.
 	resp, err = http.Get(url)
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +43,40 @@ func TestStoreServerGetPutETag(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || !bytes.Equal(got, body) {
 		t.Fatalf("GET = %d %q, want 200 %q", resp.StatusCode, got, body)
 	}
-	if resp.Header.Get("ETag") != etag {
-		t.Fatalf("GET ETag = %q, want %q", resp.Header.Get("ETag"), etag)
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+		t.Fatalf("GET Content-Type = %q, want application/json", ct)
 	}
+}
 
+// TestStoreServerRefusesWrites: the store accepts no write. A PUT of a
+// forged result under a stored key gets 405, as does every other method
+// but GET, and the key keeps serving the original bytes.
+func TestStoreServerRefusesWrites(t *testing.T) {
+	backend := NewMemStore()
+	key := "v3|sim|tech=DCRA|wl=art-mcf"
+	orig := json.RawMessage(`{"total_ipc":0.571}`)
+	if err := backend.Put(context.Background(), key, orig); err != nil {
+		t.Fatal(err)
+	}
+	srv := storeTestServer(backend)
+	defer srv.Close()
+	url := srv.URL + "/fabric/v1/store?key=" + neturl.QueryEscape(key)
+
+	for _, method := range []string{http.MethodPut, http.MethodPost, http.MethodDelete, http.MethodPatch, http.MethodHead} {
+		req, _ := http.NewRequest(method, url, strings.NewReader(`{"total_ipc":99}`))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != http.MethodGet {
+			t.Errorf("%s: HTTP %d Allow %q, want 405 and Allow GET", method, resp.StatusCode, resp.Header.Get("Allow"))
+		}
+	}
+	c := NewStoreClient(srv.URL, nil, nil)
+	if got, ok := c.Get(context.Background(), key); !ok || !bytes.Equal(got, orig) {
+		t.Fatalf("after write attempts the store serves %q, %v; want %q", got, ok, orig)
+	}
 }
 
 func TestStoreServerRejectsBadRequests(t *testing.T) {
@@ -69,16 +90,6 @@ func TestStoreServerRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("GET without key: %d, want 400", resp.StatusCode)
-	}
-
-	req, _ := http.NewRequest(http.MethodPut, srv.URL+"?key=k", strings.NewReader("not json"))
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("PUT invalid JSON: %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -123,7 +134,9 @@ func TestStoreClientReadThrough(t *testing.T) {
 	}
 }
 
-func TestStoreClientPutWritesThrough(t *testing.T) {
+// TestStoreClientPutStaysLocal: Put fills the local tier and sends
+// nothing to the store, with or without a local tier.
+func TestStoreClientPutStaysLocal(t *testing.T) {
 	remote := NewMemStore()
 	srv := storeTestServer(remote)
 	defer srv.Close()
@@ -134,11 +147,17 @@ func TestStoreClientPutWritesThrough(t *testing.T) {
 	if err := c.Put(context.Background(), key, raw); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := remote.Get(context.Background(), key); !ok || !bytes.Equal(got, raw) {
-		t.Fatalf("remote after Put = %q, %v", got, ok)
-	}
 	if got, ok := local.Get(context.Background(), key); !ok || !bytes.Equal(got, raw) {
 		t.Fatalf("local after Put = %q, %v", got, ok)
+	}
+	if got, ok := c.Get(context.Background(), key); !ok || !bytes.Equal(got, raw) {
+		t.Fatalf("Get after Put = %q, %v; want the local copy", got, ok)
+	}
+	if err := NewStoreClient(srv.URL, nil, nil).Put(context.Background(), "k2", raw); err != nil {
+		t.Fatalf("Put without a local tier: %v", err)
+	}
+	if n := remote.Len(); n != 0 {
+		t.Fatalf("store holds %d keys after client Puts, want 0", n)
 	}
 }
 
@@ -146,8 +165,8 @@ func TestStoreClientOfflineDegradesToLocal(t *testing.T) {
 	local := NewMemStore()
 	c := NewStoreClient("http://127.0.0.1:1", local, nil) // nothing listens
 	key, raw := "k", json.RawMessage(`true`)
-	if err := c.Put(context.Background(), key, raw); err == nil {
-		t.Fatal("Put against a dead store reported success")
+	if err := c.Put(context.Background(), key, raw); err != nil {
+		t.Fatalf("local Put with the store down: %v", err)
 	}
 	if got, ok := c.Get(context.Background(), key); !ok || !bytes.Equal(got, raw) {
 		t.Fatalf("local Get after offline Put = %q, %v", got, ok)

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -13,16 +12,18 @@ import (
 	"smthill/internal/sweep"
 )
 
-// StoreClient is a sweep.Backend backed by a remote fabric store with a
-// local read-through cache: Get consults the local backend first, then
-// fetches from the store (caching what it finds); Put writes through to
-// both. A worker plugs a StoreClient into its engine, so every memo
-// miss transparently checks whether any other node already computed the
-// key before burning cycles on it.
+// StoreClient is a sweep.Backend that reads through to the fabric's
+// remote result store, with an optional local tier: Get consults the
+// local backend first, then fetches from the store (caching what it
+// finds); Put writes the local tier only, because the coordinator's
+// engine stores every result it adopts and the store accepts no
+// writes. A worker plugs a StoreClient into its engine, so every memo
+// miss checks whether the store already holds the key (the singles an
+// OFF-LINE or RAND-HILL key needs, say) before burning cycles on it.
 //
 // The remote side is strictly best-effort: an unreachable store makes
-// Get a local-only lookup and Put a local-only write. Nothing blocks on
-// the network holding a lock, and no store failure can fail a job.
+// Get a local-only lookup. Nothing blocks on the network holding a
+// lock, and no store failure can fail a job.
 //
 // Requests propagate the caller's trace context as a traceparent
 // header, so store round-trips show up as client spans inside the
@@ -39,7 +40,7 @@ type StoreClient struct {
 // NewStoreClient builds a client for the store mounted under baseURL
 // (the node base, e.g. "http://coord:8080"; the store path is
 // appended). local is the read-through cache — typically the node's
-// disk cache, or a MemStore — and may be nil for remote-only operation.
+// disk cache — and may be nil for remote-only operation.
 // hc may be nil for http.DefaultClient.
 func NewStoreClient(baseURL string, local sweep.Backend, hc *http.Client) *StoreClient {
 	if hc == nil {
@@ -55,7 +56,7 @@ func NewStoreClient(baseURL string, local sweep.Backend, hc *http.Client) *Store
 			"store client operations by outcome", "outcome"),
 	}
 	for _, o := range []string{
-		"local_hit", "remote_hit", "miss", "put", "put_error", "net_error",
+		"local_hit", "remote_hit", "miss", "net_error",
 	} {
 		c.outcomes.With(o)
 	}
@@ -134,41 +135,12 @@ func (c *StoreClient) fetch(ctx context.Context, key string) (raw json.RawMessag
 	}
 }
 
-// Put implements sweep.Backend: the local write always happens; the
-// remote write is best-effort (the engine treats Put errors as
-// non-fatal, and a missed upload only costs a recompute elsewhere).
+// Put implements sweep.Backend. It writes the local tier only.
 func (c *StoreClient) Put(ctx context.Context, key string, raw json.RawMessage) error {
-	if c.local != nil {
-		_ = c.local.Put(ctx, key, raw)
+	if c.local == nil {
+		return nil
 	}
-	ctx, span := obs.Start(ctx, "store.put", obs.KindClient)
-	span.SetAttr("key", key)
-	err := c.putRemote(ctx, key, raw)
-	span.End(err)
-	return err
-}
-
-func (c *StoreClient) putRemote(ctx context.Context, key string, raw json.RawMessage) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, c.keyURL(key), bytes.NewReader(raw))
-	if err != nil {
-		c.outcomes.With("put_error").Inc()
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.Inject(ctx, req.Header)
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		c.outcomes.With("put_error").Inc()
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent && resp.StatusCode != http.StatusOK {
-		c.outcomes.With("put_error").Inc()
-		return fmt.Errorf("fabric: store put %s: HTTP %d", key, resp.StatusCode)
-	}
-	c.outcomes.With("put").Inc()
-	return nil
+	return c.local.Put(ctx, key, raw)
 }
 
 // WriteMetrics renders the client's counters in exposition format. The

@@ -139,7 +139,7 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 	parent := obs.Extract(r.Header)
 	ctx, span := w.cfg.Tracer.StartRemote(r.Context(), parent, "fabric.exec", obs.KindServer)
 	span.SetAttr("key", req.Key)
-	raw, ok, err := w.execKey(ctx, req.Key)
+	raw, ok, err := experiment.ExecKeyOn(ctx, w.eng, req.Key)
 	switch {
 	case err != nil:
 		w.execVec.With("error").Inc()
@@ -161,15 +161,6 @@ func (w *Worker) handleExec(rw http.ResponseWriter, r *http.Request) {
 		}
 		writeProtoJSON(rw, ExecResponse{Version: ProtocolVersion, Key: req.Key, Result: raw, Spans: spans})
 	}
-}
-
-// execKey resolves one key: warm engine state first, then
-// experiment.ExecKeyOn, the one executor for every key family.
-func (w *Worker) execKey(ctx context.Context, key string) (json.RawMessage, bool, error) {
-	if raw, _, ok := w.eng.Lookup(ctx, key); ok {
-		return raw, true, nil
-	}
-	return experiment.ExecKeyOn(ctx, w.eng, key)
 }
 
 // Start joins the coordinator and then keeps beating until ctx ends.

@@ -38,8 +38,7 @@
 //   - lockguard (lockguard.go): struct fields annotated "guarded by <mu>"
 //     may only be touched while that mutex is held on the same receiver
 //     expression; lexical Lock/Unlock dominance, with entry-held
-//     conventions for "Callers hold mu" docs, *Locked method names, and
-//     //smtlint:locked directives.
+//     conventions for "Callers hold mu" docs and *Locked method names.
 //   - lockorder (lockorder.go, a ModuleRule): the whole-module
 //     lock-acquisition graph must be acyclic (cycles are potential
 //     deadlocks), and no lock class may be re-acquired while held

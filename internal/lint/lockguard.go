@@ -28,12 +28,11 @@ import (
 // least RLock when the guard is a sync.RWMutex; writes always require
 // Lock.
 //
-// Three conventions mark a function as entered with the lock held:
-// a "Callers hold <mu>" doc sentence, a method name ending in "Locked",
-// or an explicit "//smtlint:locked <mu>" doc directive. Values freshly
-// constructed from a composite literal in the same function are exempt
-// until they escape (constructors initialize fields before the value is
-// shared, and no lock can be required yet).
+// Two conventions mark a function as entered with the lock held: a
+// "Callers hold <mu>" doc sentence or a method name ending in "Locked".
+// Values freshly constructed from a composite literal in the same
+// function are exempt until they escape (constructors initialize
+// fields before the value is shared, and no lock can be required yet).
 type LockGuardRule struct {
 	// Packages selects where the rule applies (matchPackage semantics;
 	// empty selects every package, since annotations opt structs in).

@@ -169,15 +169,11 @@ func lockClass(p *Package, e ast.Expr) string {
 // singular/must variants) that fabric and sweep already use.
 var callersHoldRe = regexp.MustCompile(`(?i)\bcallers?\s+(?:must\s+)?holds?\s+([A-Za-z_][A-Za-z0-9_]*)`)
 
-// lockedDirectiveRe matches the explicit //smtlint:locked <mu> directive.
-var lockedDirectiveRe = regexp.MustCompile(`^smtlint:locked\s+([A-Za-z_][A-Za-z0-9_]*)`)
-
 // entryHeldLocks returns the lock set a function's callers are
 // documented to hold on entry, keyed by "<recv>.<mu>" (or "<mu>" for a
-// package-level mutex). Three conventions grant entry-held state:
+// package-level mutex). Two conventions grant entry-held state:
 //
 //   - a doc sentence matching "Callers hold <mu>",
-//   - a "//smtlint:locked <mu>" doc line,
 //   - a method name ending in "Locked", which grants every mutex field
 //     of the receiver type.
 func entryHeldLocks(p *Package, fd *ast.FuncDecl) map[string]heldLock {
@@ -193,20 +189,8 @@ func entryHeldLocks(p *Package, fd *ast.FuncDecl) map[string]heldLock {
 			out[recv+"."+n] = heldLock{mode: 'w', class: prefix + n}
 		}
 	}
-	if fd.Doc == nil {
-		return out
-	}
-	var names []string
 	for _, m := range callersHoldRe.FindAllStringSubmatch(fd.Doc.Text(), -1) {
-		names = append(names, m[1])
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if m := lockedDirectiveRe.FindStringSubmatch(text); m != nil {
-			names = append(names, m[1])
-		}
-	}
-	for _, n := range names {
+		n := m[1]
 		if _, ok := mus[n]; ok {
 			out[recv+"."+n] = heldLock{mode: 'w', class: prefix + n}
 			continue

@@ -56,7 +56,7 @@ func (s *Store) flush() {
 	}
 }
 
-//smtlint:locked mu
+// size returns the table's length. Callers hold mu.
 func (s *Store) size() int {
 	return len(s.jobs)
 }

@@ -5,8 +5,9 @@
 // The paper's technique is a closed feedback loop — per-epoch IPC
 // samples drive the climber's next move — and once PR 6 spread that
 // loop across a cluster, a single sweep key's latency became the sum of
-// a submit hop, a placement decision, a remote compute, and a store
-// write-back. This package makes that path observable end to end:
+// a submit hop, a placement decision, a remote compute, and the store
+// reads that compute makes. This package makes that path observable end
+// to end:
 //
 //   - trace.go: the span model (trace ID, span ID, parent, kind, attrs,
 //     status), context.Context propagation, head-based 1/N sampling
